@@ -16,7 +16,6 @@ from .exact import (
     mat_inv,
     mat_mul,
     mat_vec,
-    vec_add,
     vec_sub,
 )
 from .exponents import classify

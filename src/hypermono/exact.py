@@ -112,11 +112,6 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def divisors(d: int) -> list[int]:
-    out = [e for e in range(1, d + 1) if d % e == 0]
-    return out
-
-
 def is_cyclotomic_product(p: list[int]) -> dict[int, int] | None:
     """If monic p = prod Phi_d^{m_d}, return {d: m_d}; else None.
 
@@ -157,10 +152,6 @@ def identity(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(r: int, c: int) -> Mat:
-    return [[0] * c for _ in range(r)]
-
-
 def transpose(m: Mat) -> Mat:
     return [list(row) for row in zip(*m)]
 
@@ -174,16 +165,8 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [x + y for x, y in zip(u, v)]
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return [x - y for x, y in zip(u, v)]
-
-
-def vec_scal(c, v: Vec) -> Vec:
-    return [c * x for x in v]
 
 
 def dot(u: Vec, v: Vec):
@@ -437,7 +420,6 @@ def signature_of_symmetric(g: Mat) -> tuple[int, int, int]:
         for j in range(n):
             assert a[i][j] == a[j][i], "matrix is not symmetric"
     pos = neg = zero = 0
-    idx = list(range(n))
 
     def sym_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -484,7 +466,6 @@ def signature_of_symmetric(g: Mat) -> tuple[int, int, int]:
                 a[r][c] = a[c][r] = (a[r][c] + a[c][r]) / 2
             a[r][k] = a[k][r] = Fraction(0)
         k += 1
-    del idx
     return pos, neg, zero
 
 
@@ -569,5 +550,8 @@ def enumerate_short_vectors(g: Mat, bound, offset: Vec | None = None) -> list[tu
         x[i] = 0
 
     rec(n - 1, float(bound))
+    # rec reaches itself through its closure; break that cycle so the
+    # search state is freed on return rather than at the next gc pass
+    del rec
     out.sort()
     return out

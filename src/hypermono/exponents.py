@@ -73,14 +73,6 @@ def poly_from_structure(struct: dict[int, int]) -> list[int]:
     return poly_trim(p)
 
 
-def poly_from_exponents(exps) -> list[int] | None:
-    """Integer polynomial prod (z - e^{2 pi i x}), or None if not integral."""
-    struct = cyclotomic_structure(exps)
-    if struct is None:
-        return None
-    return poly_from_structure(struct)
-
-
 @dataclass(frozen=True)
 class Classification:
     cyclotomic: bool

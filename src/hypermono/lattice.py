@@ -1,20 +1,24 @@
 """Invariant quadratic form, normalized lattice Gram matrix, parity,
-invariant factors, k-roots/reflections and the infinite-quotient gates."""
+invariant factors, k-roots/reflections and the infinite-quotient gates.
+
+The invariant form is normalized by (v, v) = -2, so (v, u) = -u_n for every
+u, and its Gram matrix in the lattice basis {g^i v} is the symmetric Toeplitz
+matrix G[i][j] = -(g^|i-j| v)_n. `invariant_form` builds it with no rational
+solve and checks three integer identities: g^t G g = G; C g^j v = g^j v +
+G[j][0] v with G[0][0] = -2; and A C = B. It is the only invariant form up to
+scale, because disjoint exponents give an irreducible group (Beukers-Heckman
+1989).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .exact import (
     bilinear,
     mat_eq,
-    mat_inv,
     mat_mul,
-    mat_to_int,
     mat_vec,
-    nullspace,
     signature_of_symmetric,
     smith_normal_form,
     transpose,
@@ -81,91 +85,43 @@ CERTIFIED = "InfiniteIndexCertified"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _solve_invariant_form_direct(m: MonodromySystem):
-    """Nullspace of {A^t f A = f, B^t f B = f, f symmetric}; unknowns are the
-    upper-triangle entries. Returns a basis of solutions as full matrices."""
-    n = m.n
-    idx = {}
-    for i in range(n):
-        for j in range(i, n):
-            idx[(i, j)] = len(idx)
-    nun = len(idx)
+def invariant_form(m: MonodromySystem) -> QuadLattice:
+    """Lattice of the invariant form normalized by (v, v) = -2.
 
-    def entry(mat, i, j):
-        return mat[i][j]
+    The Gram matrix in the basis b_i = g^i v of `lattice_basis` is the
+    symmetric Toeplitz matrix G[i][j] = c_|i-j| with c_k = -(g^k v)_n:
+    (v, u) = -u_n for every u, and (g^i v, g^j v) = (v, g^(j-i) v).
+    It is verified in integers before use (ValueError names a failed check):
 
-    rows = []
-    for gen in (m.A, m.B):
-        for r in range(n):
-            for c in range(r, n):
-                # (g^t f g - f)[r][c] = sum_{i,j} g[i][r] f[i][j] g[j][c] - f[r][c]
-                coeff = [0] * nun
-                for i in range(n):
-                    gir = gen[i][r]
-                    if not gir:
-                        continue
-                    for j in range(n):
-                        gjc = gen[j][c]
-                        if not gjc:
-                            continue
-                        k = idx[(i, j)] if i <= j else idx[(j, i)]
-                        coeff[k] += gir * gjc
-                coeff[idx[(r, c)]] -= 1
-                rows.append(coeff)
-    sols = nullspace(rows)
-    out = []
-    for s in sols:
-        f = [[None] * n for _ in range(n)]
-        for (i, j), k in idx.items():
-            f[i][j] = f[j][i] = s[k]
-        out.append(f)
-    return out
+    - g-invariance: g^t G g = G. On the basis, g acts as the companion
+      matrix of its characteristic polynomial (Cayley-Hamilton). `build`
+      makes g a companion matrix, so that is g itself; its shape is checked.
+    - C-invariance: C b_j = b_j + G[j][0] v for every j, so C is the
+      reflection x -> x + (x, v) v, an isometry since G[0][0] = -2.
+    - A and B: A C = B, so both lie in <g, C> (g is A or B, C = C^-1).
 
-
-def _solve_invariant_form_fast(m: MonodromySystem):
-    """Use f v = -e_n (the normalized pairing identity) plus invariance:
-    f (g^i v) = -(row n of g^{-i})^t on the lattice basis, then verify."""
+    For disjoint exponents the group is irreducible (Beukers-Heckman 1989),
+    so by Schur's lemma this is the only invariant form up to scale.
+    """
     n = m.n
     g = m.basis_generator()
-    ginv = mat_to_int(mat_inv(g))
     basis = lattice_basis(m)
-    rhs_cols = []
-    gi = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(n):
-        rhs_cols.append([-Fraction(x) for x in gi[n - 1]])
-        gi = mat_mul(ginv, gi)
-    bmat = [list(col) for col in zip(*basis)]  # columns are basis vectors
-    rhs = [list(col) for col in zip(*rhs_cols)]
-    f = mat_mul(rhs, mat_inv(bmat))
-    return f
+    c = [-b[n - 1] for b in basis]
+    gram = [[c[abs(i - j)] for j in range(n)] for i in range(n)]
 
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"invariant form check failed: {what}")
 
-def invariant_form(m: MonodromySystem, *, _direct_threshold: int = 12) -> QuadLattice:
-    n = m.n
-    if n <= _direct_threshold:
-        sols = _solve_invariant_form_direct(m)
-        if len(sols) != 1:
-            raise ValueError(
-                f"invariant form space has dimension {len(sols)}; "
-                "group is not irreducible/primitive in the expected sense")
-        f = sols[0]
-    else:
-        f = _solve_invariant_form_fast(m)
-    # verify invariance and symmetry exactly
-    for gen in (m.A, m.B):
-        gl = [list(r) for r in gen]
-        if not mat_eq(mat_mul(mat_mul(transpose(gl), f), gl), f):
-            raise AssertionError("invariant form verification failed")
-    if not mat_eq(f, transpose(f)):
-        raise AssertionError("invariant form is not symmetric")
-    # normalize (v, v) = -2
-    vv = bilinear(f, list(m.v), list(m.v))
-    if vv == 0:
-        raise ValueError("Cartan vector is isotropic; cannot normalize")
-    f = [[x * Fraction(-2) / vv for x in row] for row in f]
-    basis = lattice_basis(m)
-    gram = [[bilinear(f, bi, bj) for bj in basis] for bi in basis]
-    gram = mat_to_int(gram)
+    check(c[0] == -2, "(v, v) = -2")
+    check(all(g[i][j] == (i == j + 1) for i in range(n) for j in range(n - 1)),
+          "basis generator g is a companion matrix")
+    check(mat_eq(mat_mul(mat_mul(transpose(g), gram), g), gram),
+          "g-invariance g^t G g = G")
+    check(all(mat_vec(m.C, b) == [x + row[0] * y for x, y in zip(b, m.v)]
+              for b, row in zip(basis, gram)),
+          "C-invariance C g^j v = g^j v + (g^j v, v) v")
+    check(mat_eq(mat_mul(m.A, m.C), m.B), "A C = B")
     lat = QuadLattice.from_gram(gram)
     if lat.parity is None:
         raise ValueError("Gram matrix has mixed parity pattern")

@@ -9,7 +9,6 @@ from math import lcm
 from .exact import (
     identity,
     mat_det,
-    mat_eq,
     mat_inv,
     mat_mul,
     mat_to_int,

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .appendix_data import EXAMPLES, Q1, Q2, Rank3Example
+from .appendix_data import EXAMPLES
 from .exact import mat_eq, mat_inv, mat_mul, mat_neg
 
 F = Fraction

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+from hypermono import levelt
 from hypermono.cli import run
 
 
@@ -52,6 +54,20 @@ def test_gram_report(capsys):
     assert d["gram"][0][:3] == ["-2", "-3", "-4"]
     assert d["parity"] == "EvenType"
     assert d["gate"]["verdict"] == "InfiniteIndexCertified"
+
+
+def test_gram_rejects_failed_form_check(capsys, monkeypatch):
+    build = levelt.build
+
+    def tampered_build(pair):
+        m = build(pair)
+        return replace(m, v=(m.v[0] + 1,) + m.v[1:])
+
+    monkeypatch.setattr(levelt, "build", tampered_build)
+    code, d = run_json(capsys, ["gram", "--name", "N1", "--j", "1",
+                                "--k", "7", "--n", "7"])
+    assert code == 2
+    assert d["error"].startswith("invariant form check failed")
 
 
 def test_certify_report(capsys):

@@ -1,16 +1,31 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hypermono.exact import bilinear, identity, mat_eq, mat_mul, mat_vec, transpose
-from hypermono.exponents import FamilyId, make_family
+from hypermono.exact import (
+    bilinear,
+    identity,
+    mat_eq,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    transpose,
+)
+from hypermono.exponents import (
+    ExponentPair,
+    FamilyError,
+    FamilyId,
+    _candidate_ids,
+    classify,
+    make_family,
+)
 from hypermono.lattice import (
     CERTIFIED,
     EVEN_TYPE,
     INCONCLUSIVE,
     ODD_TYPE,
     QuadLattice,
-    _solve_invariant_form_direct,
     invariant_form,
     quotient_gate,
     reflection,
@@ -20,6 +35,41 @@ from hypermono.lattice import (
 from hypermono.levelt import build, lattice_basis
 
 F = Fraction
+
+
+def _solve_invariant_form_direct(m):
+    """Brute-force oracle: nullspace of {A^t f A = f, B^t f B = f} over the
+    upper-triangle entries of a symmetric f. Returns a basis of solutions as
+    full matrices."""
+    n = m.n
+    idx = {}
+    for i in range(n):
+        for j in range(i, n):
+            idx[(i, j)] = len(idx)
+    rows = []
+    for gen in (m.A, m.B):
+        for r in range(n):
+            for c in range(r, n):
+                # (g^t f g - f)[r][c] = sum_{i,j} g[i][r] f[i][j] g[j][c] - f[r][c]
+                coeff = [0] * len(idx)
+                for i in range(n):
+                    gir = gen[i][r]
+                    if not gir:
+                        continue
+                    for j in range(n):
+                        gjc = gen[j][c]
+                        if not gjc:
+                            continue
+                        coeff[idx[(min(i, j), max(i, j))]] += gir * gjc
+                coeff[idx[(r, c)]] -= 1
+                rows.append(coeff)
+    out = []
+    for s in nullspace(rows):
+        f = [[None] * n for _ in range(n)]
+        for (i, j), k in idx.items():
+            f[i][j] = f[j][i] = s[k]
+        out.append(f)
+    return out
 
 
 def normalized_standard_form(m):
@@ -85,6 +135,58 @@ def test_basis_generator_transport():
     for i in range(m.n):
         for j in range(m.n):
             assert bilinear(f, basis[i], basis[j]) == lat.gram[i][j]
+
+
+def _oracle_gram(m):
+    f = normalized_standard_form(m)
+    basis = lattice_basis(m)
+    return tuple(tuple(bilinear(f, bi, bj) for bj in basis) for bi in basis)
+
+
+def test_closed_form_matches_oracle_on_families():
+    count = 0
+    for n in (5, 7, 9):
+        for fid in _candidate_ids(n):
+            try:
+                m = build(make_family(fid))
+            except FamilyError:
+                continue
+            assert invariant_form(m).gram == _oracle_gram(m), fid
+            count += 1
+    assert count == 120
+
+
+# pairs outside the families: even n (n = 4 and the n = 2 Finite pair),
+# Finite, non-hyperbolic Orthogonal for odd n, and a hyperbolic n = 3 pair
+@pytest.mark.parametrize("alpha, beta, category, hyperbolic", [
+    ("0,0,0,1/2", "1/4,1/3,2/3,3/4", "Orthogonal", False),
+    ("0,1/2", "1/3,2/3", "Finite", False),
+    ("0,1/3,2/3", "1/4,1/2,3/4", "Finite", False),
+    ("0,0,0,0,0", "1/3,1/2,1/2,1/2,2/3", "Orthogonal", False),
+    ("0,0,0", "1/3,1/2,2/3", "Orthogonal", True),
+])
+def test_closed_form_matches_oracle_off_family(alpha, beta, category, hyperbolic):
+    pair = ExponentPair.make([Fraction(x) for x in alpha.split(",")],
+                             [Fraction(x) for x in beta.split(",")])
+    cls = classify(pair)
+    assert (cls.category, cls.hyperbolic) == (category, hyperbolic)
+    m = build(pair)
+    assert invariant_form(m).gram == _oracle_gram(m)
+
+
+def test_invariant_form_rejects_tampered_system():
+    m = build(make_family(FamilyId("N1", 1, 7, 7)))
+    v = list(m.v)
+    with pytest.raises(ValueError, match=r"\(v, v\) = -2"):
+        invariant_form(replace(m, v=tuple(v[:-1] + [4])))
+    with pytest.raises(ValueError, match="g-invariance"):
+        invariant_form(replace(m, v=tuple([v[0] + 1] + v[1:])))
+    with pytest.raises(ValueError, match="C-invariance"):
+        invariant_form(replace(m, C=tuple(map(tuple, identity(m.n)))))
+    with pytest.raises(ValueError, match="A C = B"):
+        invariant_form(replace(m, B=m.A))
+    with pytest.raises(ValueError, match="companion matrix"):
+        invariant_form(replace(m, A=tuple(zip(*m.A)), rotation_generator="A"))
 
 
 def test_parity_odd_type():
