@@ -4,16 +4,16 @@ factorization witness, and the explicit 2-edge paths for the j = 3 family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .exact import (
     bilinear,
+    dot,
     enumerate_short_vectors,
     identity,
     integer_kernel_and_solution,
+    lll_reduce,
     mat_eq,
-    mat_inv,
     mat_mul,
     mat_vec,
     vec_sub,
@@ -56,39 +56,17 @@ def config_for(lattice: QuadLattice, *, max_depth: int = 5,
     return GraphConfig(lattice, edge, max_depth, node_budget)
 
 
-def _size_reduce(basis: list[list[int]], gram: list[list[int]]) -> list[list[int]]:
-    """Pairwise integer size reduction of a basis w.r.t. a positive definite
-    form; keeps the lattice, shrinks the vectors so enumeration prunes well."""
-    b = [list(v) for v in basis]
-    k = len(b)
-    for _ in range(4 * k * k):
-        changed = False
-        norms = [bilinear(gram, v, v) for v in b]
-        order = sorted(range(k), key=lambda i: norms[i])
-        b = [b[i] for i in order]
-        norms = [norms[i] for i in order]
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                p = bilinear(gram, b[i], b[j])
-                q = (2 * p + norms[j]) // (2 * norms[j])  # round(p / norms[j])
-                if q:
-                    b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-                    norms[i] += q * q * norms[j] - 2 * q * p
-                    changed = True
-        if not changed:
-            break
-    return b
-
-
 def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
-    """All lattice vectors w with (w,w) = -2 and (u,w) = edge_value.
+    """All lattice vectors w with (w,w) = -2 and (u,w) = edge_value, sorted.
 
-    The slice {w : (u,w) = e} is an affine coset over the orthogonal
-    complement of u, which is positive definite, so the candidates are the
-    short vectors of a definite form shifted by a rational offset."""
-    g = [list(r) for r in cfg.lattice.gram]
+    The slice {w : (u,w) = e} is an affine coset x0 + K over the orthogonal
+    complement K of u, which is positive definite. On an LLL-reduced basis
+    b_j of K, w = x0 + sum z_j b_j has (w,w) = -2 exactly when
+    (z+o)^t M (z+o) = -2 - (x0*, x0*), where M is the Gram matrix of the b_j,
+    o = M^-1 (b_j, x0) and x0* is x0 minus its projection onto K. The
+    integer Fincke-Pohst walk lists exactly these boundary points, taking o
+    through the products (b_j, x0), so nothing is inverted."""
+    g = cfg.lattice.gram
     u = list(u)
     if bilinear(g, u, u) != -2:
         raise ValueError("neighbor enumeration requires a norm -2 vertex")
@@ -96,23 +74,36 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     x0, kernel = integer_kernel_and_solution(row, cfg.edge_value)
     if x0 is None:
         return []
-    kernel = _size_reduce(kernel, g)
-    m = [[bilinear(g, bi, bj) for bj in kernel] for bi in kernel]
-    b = [Fraction(bilinear(g, bi, x0)) for bi in kernel]
-    minv = mat_inv(m)
-    offset = mat_vec(minv, b)
-    c = bilinear(g, x0, x0)
-    bound = Fraction(-2) - c + bilinear(minv, b, b)
+    red = lll_reduce(kernel, g)
+    gx0 = mat_vec(g, x0)
+    products = [dot(b, gx0) for b in red.basis]
+    bound = -2 - red.gram_schmidt.orthogonal_norm(products, dot(x0, gx0))
     out = []
-    for z in enumerate_short_vectors(m, bound, offset):
+    for z in enumerate_short_vectors(red.gram, bound, boundary=True,
+                                     g_offset=products):
         w = list(x0)
-        for zi, bi in zip(z, kernel):
+        for zi, bi in zip(z, red.basis):
             if zi:
                 w = [x + zi * y for x, y in zip(w, bi)]
-        if bilinear(g, w, w) == -2:
-            out.append(tuple(w))
+        if bilinear(g, w, w) != -2 or dot(row, w) != cfg.edge_value:
+            raise AssertionError("enumerated vector is not a neighbor")
+        out.append(tuple(w))
     out.sort()
     return out
+
+
+def cached_neighbors(cfg: GraphConfig, u: tuple[int, ...],
+                     cache: dict) -> list[tuple[int, ...]]:
+    """neighbors(cfg, u) through a cache of earlier expansions on the same
+    graph. (-u, -w) pairs as (u, w) does, so neighbors(-u) = -neighbors(u)
+    is read from the cache as well; negation reverses the sorted order."""
+    hit = cache.get(u)
+    if hit is None:
+        other = cache.get(tuple(-x for x in u))
+        if other is not None:
+            return [tuple(-x for x in w) for w in reversed(other)]
+        hit = cache[u] = neighbors(cfg, u)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -122,10 +113,16 @@ class PathSearch:
     nodes_expanded: int
 
 
-def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
+def find_path(cfg: GraphConfig, src, dst, *,
+              cache: dict | None = None) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
-    most max_depth; deterministic (frontiers and children in sorted order)."""
-    g = [list(r) for r in cfg.lattice.gram]
+    most max_depth; deterministic (frontiers and children in sorted order).
+
+    `cache` maps vertices to their neighbor lists; searches on one graph
+    that share it expand each vertex once. A cache hit still counts as an
+    expansion, so node_budget and nodes_expanded do not depend on it."""
+    g = cfg.lattice.gram
+    cache = {} if cache is None else cache
     src = tuple(src)
     dst = tuple(dst)
     for end in (src, dst):
@@ -167,7 +164,7 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
             if expanded >= cfg.node_budget:
                 return PathSearch(None, True, expanded)
             expanded += 1
-            for w in neighbors(cfg, node):
+            for w in cached_neighbors(cfg, node, cache):
                 if w in parents:
                     continue
                 parents[w] = node
@@ -278,6 +275,7 @@ class CertificateReport:
     factorization: tuple[tuple[RootVector, RootVector], ...]
     gate: QuotientGate
     detail: str
+    nodes_expanded: int  # over both target searches
 
 
 THIN_CERTIFIED = "ThinCertified"
@@ -287,7 +285,9 @@ NO_PATH_FOUND = "NoPathFound"
 
 def certify(m: MonodromySystem, *, max_depth: int = 5,
             node_budget: int = 1_000_000) -> CertificateReport:
-    """Path from v to g.v in the distance graph + infinite-quotient gate."""
+    """Path from v to g.v in the distance graph + infinite-quotient gate.
+
+    Both target searches draw on one node_budget and one neighbor cache."""
     cls = classify(m.pair)
     if not cls.hyperbolic:
         raise ValueError("certificate applies to hyperbolic groups only")
@@ -299,12 +299,19 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
     # r_w = r_{-w}, so either sheet of the target certifies; try the one
     # pairing negatively with v first
     targets = [gv, tuple(-x for x in gv)]
-    if bilinear([list(r) for r in lat.gram], list(src), list(gv)) > 0:
+    if bilinear(lat.gram, list(src), list(gv)) > 0:
         targets.reverse()
+    cache: dict = {}
+    expanded = 0
     exhausted = False
     result = None
     for dst in targets:
-        search = find_path(cfg, src, dst)
+        if expanded >= node_budget:
+            exhausted = True
+            break
+        search = find_path(replace(cfg, node_budget=node_budget - expanded),
+                           src, dst, cache=cache)
+        expanded += search.nodes_expanded
         exhausted = exhausted or search.budget_exhausted
         if search.path is not None:
             result = search
@@ -313,12 +320,13 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
         detail = ("node budget exhausted before the depth limit"
                   if exhausted else
                   f"no path within depth {max_depth}")
-        return CertificateReport(NO_PATH_FOUND, (), (), gate, detail)
+        return CertificateReport(NO_PATH_FOUND, (), (), gate, detail, expanded)
     witness = factorize_path(cfg, result.path)
     status = (THIN_CERTIFIED if gate.verdict == CERTIFIED
               else PATH_FOUND_GATE_INCONCLUSIVE)
     detail = f"path of length {len(result.path) - 1}; {gate.reason}"
-    return CertificateReport(status, result.path, witness.pairs, gate, detail)
+    return CertificateReport(status, result.path, witness.pairs, gate, detail,
+                             expanded)
 
 
 def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:

@@ -1,10 +1,11 @@
 """Exact rational/integer linear algebra, cyclotomic polynomials, Smith normal
-form and short-vector enumeration.
+form, integral LLL and short-vector enumeration.
 
 Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are lists of rows over int or Fraction.
-No floating point except for the search-interval guesses inside
-enumerate_short_vectors, which are always re-checked exactly.
+There is no floating point: the Fincke-Pohst walk in
+enumerate_short_vectors bounds each coordinate with math.isqrt on integers
+scaled from the integral Gram-Schmidt data, so its pruning is exact.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-import math
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -470,88 +470,223 @@ def signature_of_symmetric(g: Mat) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# short vectors of a positive definite rational form, with coset offset
+# integral Gram-Schmidt, LLL, and short vectors of a positive definite form
 # ---------------------------------------------------------------------------
 
-def _ldl(g: Mat):
-    """g = U^t D U with U unit upper triangular, D diagonal; exact.
+def _gram_schmidt_row(d, lam, products, norm: int) -> tuple[list[int], int]:
+    """One step of the integral Gram-Schmidt recurrence (Cohen, Alg. 2.6.7
+    step 2) for a vector x given by its products (b_j, x) with the first
+    len(products) basis vectors and its norm (x, x). Returns the row
+    lam_x[j] = d[j+1] * mu_xj and d[k] * (x*, x*), where x* is x minus its
+    projection onto the span of b_0..b_{k-1}. Every division is exact."""
+    row: list[int] = []
+    for j, u in enumerate(products):
+        lam_j = lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - row[i] * lam_j[i]) // d[i]
+        row.append(u)
+    for i, t in enumerate(row):
+        norm = (d[i + 1] * norm - t * t) // d[i]
+    return row, norm
 
-    Raises ValueError unless g is symmetric positive definite.
-    """
+
+@dataclass(frozen=True)
+class GramSchmidt:
+    """Integral Gram-Schmidt data of a basis b_0..b_{k-1} under a positive
+    definite integral form: d[i] is the Gram determinant of b_0..b_{i-1}
+    (d[0] = 1), and lam[i][j] = d[j+1] * mu_ij for j < i, where
+    b_i = b*_i + sum_{j<i} mu_ij b*_j. All entries are integers, and
+    (b*_i, b*_i) = d[i+1] / d[i]."""
+    d: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+
+    def orthogonal_norm(self, products, norm: int) -> Fraction:
+        """(x*, x*) for x* = x minus its projection onto the basis span, from
+        the integer products (b_j, x) and (x, x); no solve."""
+        _, r = _gram_schmidt_row(self.d, self.lam, products, norm)
+        return Fraction(r, self.d[-1])
+
+
+def integral_gram_schmidt(g: Mat) -> GramSchmidt:
+    """Integral Gram-Schmidt data of the basis whose Gram matrix is the
+    integer matrix g. Raises ValueError unless g is symmetric positive
+    definite (Sylvester: every d[i] > 0)."""
     n = len(g)
-    a = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
+        for j in range(i):
+            if g[i][j] != g[j][i]:
                 raise ValueError("form is not symmetric")
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
+    d = [1]
+    lam: list[tuple[int, ...]] = []
+    for k in range(n):
+        row, dk = _gram_schmidt_row(d, lam, g[k][:k], g[k][k])
+        if dk <= 0:
             raise ValueError("form is not positive definite")
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= d[i] * u[i][r] * u[i][c]
-                a[c][r] = a[r][c]
-    return d, u
+        lam.append(tuple(row))
+        d.append(dk)
+    return GramSchmidt(tuple(d), tuple(lam))
 
 
-def enumerate_short_vectors(g: Mat, bound, offset: Vec | None = None) -> list[tuple[int, ...]]:
-    """All integer x with (x+offset)^t g (x+offset) <= bound, exactly.
+@dataclass(frozen=True)
+class LLLReduction:
+    """An LLL-reduced basis: basis[i] = sum_j transform[i][j] * input[j] with
+    transform unimodular, its Gram matrix, and its integral Gram-Schmidt
+    data."""
+    basis: tuple[tuple[int, ...], ...]
+    transform: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    gram_schmidt: GramSchmidt
 
-    Fincke-Pohst on the exact U^t D U decomposition; float interval guesses
-    are widened and every candidate is re-checked with Fractions, so the
-    output is both sound and complete.
+
+LLL_DELTA = Fraction(99, 100)
+
+
+def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
+    """Integral LLL (Lenstra-Lenstra-Lovasz 1982; Cohen, Alg. 2.6.7) of
+    linearly independent integer vectors under an integral form that is
+    positive definite on their span. Integer arithmetic throughout: the
+    result is size-reduced (2|lam[i][j]| <= d[j+1]) and satisfies the Lovasz
+    condition d[i+1] d[i-1] >= LLL_DELTA d[i]^2 - lam[i][i-1]^2.
+
+    Raises ValueError if the form is not positive definite on the span."""
+    k = len(basis)
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    b = [list(v) for v in basis]
+    gb = [mat_vec(gram, v) for v in b]
+    h = identity(k)
+    d = [1] + [0] * k
+    lam = [[0] * k for _ in range(k)]
+
+    def reduce(i: int, j: int):  # size-reduce b_i against b_j, j < i
+        dj = d[j + 1]
+        if 2 * abs(lam[i][j]) <= dj:
+            return
+        q = (2 * lam[i][j] + dj) // (2 * dj)  # nearest integer to lam/dj
+        for rows in (b, gb, h):
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+        lam[i][j] -= q * dj
+        lam_i, lam_j = lam[i], lam[j]
+        for t in range(j):
+            lam_i[t] -= q * lam_j[t]
+
+    def swap(i: int, top: int):  # exchange b_{i-1} and b_i (SWAPI)
+        for rows in (b, gb, h):
+            rows[i], rows[i - 1] = rows[i - 1], rows[i]
+        lam_i, lam_p = lam[i], lam[i - 1]
+        for j in range(i - 1):
+            lam_i[j], lam_p[j] = lam_p[j], lam_i[j]
+        mu = lam_i[i - 1]
+        big = (d[i - 1] * d[i + 1] + mu * mu) // d[i]
+        for r in range(i + 1, top + 1):
+            t = lam[r][i]
+            lam[r][i] = (d[i + 1] * lam[r][i - 1] - mu * t) // d[i]
+            lam[r][i - 1] = (big * t + mu * lam[r][i]) // d[i + 1]
+        d[i] = big
+
+    top = -1  # highest index whose Gram-Schmidt data is known
+    i = 0
+    while i < k:
+        if i > top:
+            top = i
+            row, di = _gram_schmidt_row(
+                d, lam, [dot(b[i], gb[j]) for j in range(i)], dot(b[i], gb[i]))
+            if di <= 0:
+                raise ValueError("form is not positive definite on the span")
+            lam[i][:i] = row
+            d[i + 1] = di
+        if i == 0:
+            i = 1
+            continue
+        reduce(i, i - 1)
+        mu = lam[i][i - 1]
+        if den * (d[i + 1] * d[i - 1] + mu * mu) < num * d[i] * d[i]:
+            swap(i, top)
+            i = max(1, i - 1)
+        else:
+            for j in range(i - 2, -1, -1):
+                reduce(i, j)
+            i += 1
+    gram_red = tuple(tuple(dot(bi, gbj) for gbj in gb) for bi in b)
+    return LLLReduction(
+        tuple(tuple(v) for v in b), tuple(tuple(r) for r in h), gram_red,
+        GramSchmidt(tuple(d), tuple(tuple(lam[i][:i]) for i in range(k))))
+
+
+def enumerate_short_vectors(g: Mat, bound, offset: Vec | None = None, *,
+                            boundary: bool = False,
+                            g_offset: Vec | None = None) -> list[tuple[int, ...]]:
+    """All integer x with (x+offset)^t g (x+offset) <= bound, exactly and
+    sorted; with boundary=True only those with equality.
+
+    g is a positive definite rational form; bound and offset are rational.
+    The offset may instead be given as g_offset = g * offset (a caller with
+    the products (b_j, x0) in hand then needs no solve).
+
+    Fincke-Pohst (1985) in integers. With the integral Gram-Schmidt data
+    d, lam of g, the form is sum_i T_i^2 / (d_i d_{i+1}) where
+    T_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j + lam_oi is an integer (lam_o
+    is one more row of the recurrence, fed g * offset). Scaled by
+    L = lcm(d_i d_{i+1}), each level bounds |T_i| with math.isqrt of the
+    remaining integer budget: no rounding anywhere, so the walk visits
+    exactly the points of the ellipsoid's projections, and a leaf is on the
+    boundary exactly when its residual budget is 0.
     """
     n = len(g)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    off = [Fraction(x) for x in (offset if offset is not None else [0] * n)]
-    d, u = _ldl(g)
-    # the tree walk runs in floats with a generous slack so no candidate is
-    # ever pruned by rounding; each leaf is then re-checked exactly
-    df = [float(v) for v in d]
-    uf = [[float(v) for v in row] for row in u]
-    offf = [float(v) for v in off]
-    slack = 1e-6 * (1.0 + abs(float(bound)))
+    if offset is not None and g_offset is not None:
+        raise ValueError("give offset or g_offset, not both")
+    # clear the denominators of g (bound scales with it)
+    sg = lcm(*(Fraction(v).denominator for row in g for v in row))
+    gi = [[int(Fraction(v) * sg) for v in row] for row in g]
+    bound *= sg
+    gs = integral_gram_schmidt(gi)
+    if offset is not None:
+        products = mat_vec(gi, [Fraction(v) for v in offset])
+    elif g_offset is not None:
+        products = [Fraction(v) * sg for v in g_offset]
+    else:
+        products = [0] * n
+    # scale the offset's row by s so that it is integral: T_i becomes s T_i
+    s = lcm(*(Fraction(p).denominator for p in products))
+    centre, _ = _gram_schmidt_row(gs.d, gs.lam, [int(p * s) for p in products], 0)
+    d = gs.d
+    big_l = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    weight = [bound.denominator * big_l // (d[i] * d[i + 1]) for i in range(n)]
+    step = [s * d[i + 1] for i in range(n)]
+    lam = [[s * v for v in row] for row in gs.lam]
+    budget = bound.numerator * big_l * s * s
+    if n == 0:
+        return [()] if budget == 0 or not boundary else []
     out: list[tuple[int, ...]] = []
     x = [0] * n
-    gq = [[Fraction(v) for v in row] for row in g]
 
-    def exact_ok(vec) -> bool:
-        y = [Fraction(vec[i]) + off[i] for i in range(n)]
-        total = Fraction(0)
-        for i in range(n):
-            row = gq[i]
-            total += y[i] * sum(row[j] * y[j] for j in range(n))
-        return total <= bound
-
-    def rec(i: int, rem: float):
-        if i < 0:
-            if exact_ok(x):
-                out.append(tuple(x))
+    def walk(i: int, rem: int, centre: list[int]):
+        # s T_i = step_i x_i + centre_i, and weight_i (s T_i)^2 <= rem
+        w, a, c = weight[i], step[i], centre[i]
+        r = isqrt(rem // w)
+        if i == 0:
+            if not boundary:
+                for xi in range(-((r + c) // a), (r - c) // a + 1):
+                    x[0] = xi
+                    out.append(tuple(x))
+            elif w * r * r == rem:
+                for t in ((r, -r) if r else (0,)):
+                    if (t - c) % a == 0:
+                        x[0] = (t - c) // a
+                        out.append(tuple(x))
             return
-        # center of the allowed interval for y_i = x_i + off_i
-        w = offf[i] + sum(uf[i][j] * (x[j] + offf[j])
-                          for j in range(i + 1, n))
-        rad = math.sqrt(max(rem + slack, 0.0) / df[i])
-        lo = math.floor(-w - rad) - 1
-        hi = math.ceil(-w + rad) + 1
-        for xi in range(lo, hi + 1):
-            contrib = df[i] * (xi + w) ** 2
-            if contrib <= rem + slack:
-                x[i] = xi
-                rec(i - 1, rem - contrib)
-        x[i] = 0
+        lam_i = lam[i]
+        for xi in range(-((r + c) // a), (r - c) // a + 1):
+            t = a * xi + c
+            x[i] = xi
+            walk(i - 1, rem - w * t * t,
+                 [cj + lj * xi for cj, lj in zip(centre, lam_i)])
 
-    rec(n - 1, float(bound))
-    # rec reaches itself through its closure; break that cycle so the
+    walk(n - 1, budget, centre)
+    # walk reaches itself through its closure; break that cycle so the
     # search state is freed on return rather than at the next gc pass
-    del rec
+    del walk
     out.sort()
     return out

@@ -79,6 +79,21 @@ def test_certify_report(capsys):
     assert len(d["factorization"]) == len(d["path"]) - 1
 
 
+def test_certify_budget_exit_code(capsys):
+    # M2(1, 5) has no path within depth 5; its two target searches expand 40
+    # vertices together, so any smaller budget runs out, and both searches
+    # draw on the one budget
+    for budget in ("5", "25"):
+        code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
+                                    "--n", "5", "--budget", budget])
+        assert code == 3
+        assert d["status"] == "NoPathFound"
+        assert d["detail"] == "node budget exhausted before the depth limit"
+    code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
+                                "--n", "5", "--budget", "40"])
+    assert code == 0 and d["detail"] == "no path within depth 5"
+
+
 def test_landau_report(capsys):
     code, d = run_json(capsys, ["landau", "--name", "M2", "--j", "3",
                                 "--n", "5"])

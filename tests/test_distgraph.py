@@ -1,13 +1,25 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
-from hypermono.exact import bilinear, identity, mat_eq, mat_inv, mat_mul, mat_to_int, mat_vec
-from hypermono.exponents import FamilyId, make_family
+from hypermono.exact import (
+    bilinear,
+    identity,
+    integer_kernel_and_solution,
+    mat_eq,
+    mat_inv,
+    mat_mul,
+    mat_to_int,
+    mat_vec,
+)
+from hypermono.exponents import FamilyError, FamilyId, _candidate_ids, classify, make_family
 from hypermono.distgraph import (
     NO_PATH_FOUND,
     PATH_FOUND_GATE_INCONCLUSIVE,
     THIN_CERTIFIED,
+    cached_neighbors,
     certify,
     component_generators,
     config_for,
@@ -55,6 +67,167 @@ def test_neighbors_against_brute_force():
         assert brute <= got, fid
         for w in got:
             assert bilinear(g, list(w), list(w)) == -2
+
+
+# The earlier neighbor search, kept as an oracle: pairwise size reduction of
+# the complement, a float Fincke-Pohst walk with a slack on an exact LDL^t
+# decomposition, a Fraction re-check of every leaf, and a rational solve for
+# the offset.
+
+def _oracle_size_reduce(basis, gram):
+    b = [list(v) for v in basis]
+    k = len(b)
+    for _ in range(4 * k * k):
+        changed = False
+        norms = [bilinear(gram, v, v) for v in b]
+        order = sorted(range(k), key=lambda i: norms[i])
+        b = [b[i] for i in order]
+        norms = [norms[i] for i in order]
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    continue
+                p = bilinear(gram, b[i], b[j])
+                q = (2 * p + norms[j]) // (2 * norms[j])
+                if q:
+                    b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                    norms[i] += q * q * norms[j] - 2 * q * p
+                    changed = True
+        if not changed:
+            break
+    return b
+
+
+def _oracle_ldl(g):
+    n = len(g)
+    a = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        assert d[i] > 0
+        u[i][i] = Fraction(1)
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / d[i]
+        for r in range(i + 1, n):
+            for c in range(r, n):
+                a[r][c] -= d[i] * u[i][r] * u[i][c]
+                a[c][r] = a[r][c]
+    return d, u
+
+
+def _oracle_short_vectors(g, bound, off):
+    n = len(g)
+    d, u = _oracle_ldl(g)
+    df = [float(v) for v in d]
+    uf = [[float(v) for v in row] for row in u]
+    offf = [float(v) for v in off]
+    slack = 1e-6 * (1.0 + abs(float(bound)))
+    out = []
+    x = [0] * n
+
+    def exact_ok(vec):
+        y = [Fraction(vec[i]) + off[i] for i in range(n)]
+        return bilinear(g, y, y) <= bound
+
+    def rec(i, rem):
+        if i < 0:
+            if exact_ok(x):
+                out.append(tuple(x))
+            return
+        w = offf[i] + sum(uf[i][j] * (x[j] + offf[j]) for j in range(i + 1, n))
+        rad = math.sqrt(max(rem + slack, 0.0) / df[i])
+        for xi in range(math.floor(-w - rad) - 1, math.ceil(-w + rad) + 2):
+            contrib = df[i] * (xi + w) ** 2
+            if contrib <= rem + slack:
+                x[i] = xi
+                rec(i - 1, rem - contrib)
+        x[i] = 0
+
+    rec(n - 1, float(bound))
+    return out
+
+
+def oracle_neighbors(cfg, u):
+    g = [list(r) for r in cfg.lattice.gram]
+    u = list(u)
+    x0, kernel = integer_kernel_and_solution(mat_vec(g, u), cfg.edge_value)
+    if x0 is None:
+        return []
+    kernel = _oracle_size_reduce(kernel, g)
+    m = [[bilinear(g, bi, bj) for bj in kernel] for bi in kernel]
+    b = [Fraction(bilinear(g, bi, x0)) for bi in kernel]
+    minv = mat_inv(m)
+    bound = Fraction(-2) - bilinear(g, x0, x0) + bilinear(minv, b, b)
+    out = []
+    for z in _oracle_short_vectors(m, bound, mat_vec(minv, b)):
+        w = list(x0)
+        for zi, bi in zip(z, kernel):
+            w = [x + zi * y for x, y in zip(w, bi)]
+        if bilinear(g, w, w) == -2:
+            out.append(tuple(w))
+    return sorted(out)
+
+
+def test_neighbors_match_oracle_on_families():
+    # e0 and its first two neighbors, on every hyperbolic family instance
+    # for n = 5, 7, 9
+    expansions = 0
+    for n in (5, 7, 9):
+        for fid in _candidate_ids(n):
+            try:
+                m = build(make_family(fid))
+            except FamilyError:
+                continue
+            if not classify(m.pair).hyperbolic:
+                continue
+            cfg = config_for(invariant_form(m))
+            e0 = tuple(1 if i == 0 else 0 for i in range(n))
+            first = neighbors(cfg, e0)
+            assert first == oracle_neighbors(cfg, e0), fid
+            for v in first[:2]:
+                assert neighbors(cfg, v) == oracle_neighbors(cfg, v), (fid, v)
+            expansions += 1 + len(first[:2])
+    assert expansions == 260
+
+
+def test_cached_neighbors_reads_the_negated_vertex():
+    cfg = config_for(family_lattice(FamilyId("N1", 1, 7, 7)))
+    u = (0, 1, 0, 0, 0, 0, 0)
+    minus_u = tuple(-x for x in u)
+    cache = {}
+    assert cached_neighbors(cfg, u, cache) == neighbors(cfg, u)
+    assert list(cache) == [u]
+    assert cached_neighbors(cfg, minus_u, cache) == neighbors(cfg, minus_u)
+    assert list(cache) == [u]  # answered from u's entry
+
+
+def test_find_path_cache_does_not_change_the_search():
+    cfg = config_for(family_lattice(FamilyId("M2", 1, None, 5)))
+    e0, e1 = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)
+    cache = {}
+    for dst in (e1, tuple(-x for x in e1)):
+        plain = find_path(cfg, e0, dst)
+        cached = find_path(cfg, e0, dst, cache=cache)
+        assert cached == plain
+        assert plain.path is None and plain.nodes_expanded > 0
+
+
+def test_certify_charges_both_searches_to_one_budget():
+    m = build(make_family(FamilyId("M2", 1, None, 5)))
+    full = certify(m)
+    assert full.status == NO_PATH_FOUND
+    assert full.detail == "no path within depth 5"
+    first = find_path(config_for(invariant_form(m)), (1, 0, 0, 0, 0),
+                      (0, 1, 0, 0, 0))
+    assert 0 < first.nodes_expanded < full.nodes_expanded
+    for budget in (1, 5, first.nodes_expanded, first.nodes_expanded + 3,
+                   full.nodes_expanded - 1):
+        rep = certify(m, node_budget=budget)
+        assert rep.nodes_expanded <= budget, budget
+        assert rep.status == NO_PATH_FOUND
+        assert rep.detail == "node budget exhausted before the depth limit"
+    assert certify(m, node_budget=full.nodes_expanded) == full
 
 
 def test_neighbors_rejects_wrong_norm():

@@ -12,10 +12,13 @@ from hypermono.exact import (
     cyclotomic_poly,
     enumerate_short_vectors,
     euler_phi,
+    integral_gram_schmidt,
     is_cyclotomic_product,
+    lll_reduce,
     mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     nullspace,
     poly_divmod_exact,
     poly_mul,
@@ -148,6 +151,173 @@ def test_short_vectors_vs_brute_force(seed):
     for x in itertools.product(range(-box, box + 1), repeat=n):
         if qval(x) <= bound:
             assert x in got
+
+
+def _random_definite(rng, n, spread=2):
+    while True:
+        b = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
+        if mat_det(b) != 0:
+            return [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_short_vectors_boundary_vs_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 3])
+    g = _random_definite(rng, n)
+    off = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+    # a bound on which some point lies, half of the time
+    target = None
+    if rng.random() < 0.5:
+        target = tuple(rng.randint(-2, 2) for _ in range(n))
+        y = [target[i] + off[i] for i in range(n)]
+        bound = bilinear(g, y, y)
+    else:
+        bound = Fraction(rng.randint(0, 30), rng.choice([1, 9]))
+
+    def qval(x):
+        y = [Fraction(x[i]) + off[i] for i in range(n)]
+        return bilinear(g, y, y)
+
+    box = 7
+    inside = [x for x in itertools.product(range(-box, box + 1), repeat=n)
+              if qval(x) <= bound]
+    got = enumerate_short_vectors(g, bound, off)
+    assert set(got) >= set(inside)
+    assert all(qval(v) <= bound for v in got)
+    on = sorted(x for x in got if qval(x) == bound)
+    assert target is None or target in on
+    assert enumerate_short_vectors(g, bound, off, boundary=True) == on
+    assert enumerate_short_vectors(g, bound, boundary=True,
+                                   g_offset=mat_vec(g, off)) == on
+
+
+@pytest.mark.parametrize("big", [10 ** 15, 10 ** 15 + 7, 3 * 10 ** 17])
+def test_short_vectors_large_entries_and_denominators(big):
+    # Q(v) = big (v0+v1)^2 + v0^2 + v1^2 + v2^2 and an offset with a
+    # denominator near big: the points with Q <= bound have x + y = 0, and
+    # their values differ from the bound by about 1/big, far below what a
+    # float walk on entries this size can resolve
+    den = big + 1
+    g = [[big + 1, big, 0], [big, big + 1, 0], [0, 0, 1]]
+    off = [Fraction(1, den), Fraction(-1, den), Fraction(big - 1, den)]
+
+    def qval(x):
+        y = [Fraction(x[i]) + off[i] for i in range(3)]
+        return bilinear(g, y, y)
+
+    for target in [(2, -2, 1), (-3, 3, 0), (0, 0, -2)]:
+        bound = qval(target)
+        box = 6  # Q <= 19 forces x + y = 0, |x| <= 3 and |z + 1| <= 5
+        inside = {x for x in itertools.product(range(-box, box + 1), repeat=3)
+                  if qval(x) <= bound}
+        on = sorted(x for x in inside if qval(x) == bound)
+        assert target in on
+        assert set(enumerate_short_vectors(g, bound, off)) == inside
+        assert enumerate_short_vectors(g, bound, off, boundary=True) == on
+        assert enumerate_short_vectors(g, bound, boundary=True,
+                                       g_offset=mat_vec(g, off)) == on
+
+
+@pytest.mark.parametrize("q", [10 ** 8 + 7, 10 ** 9 + 9])
+@pytest.mark.parametrize("k", [1, 12345, 10 ** 6 + 3])
+def test_short_vectors_large_denominator_offset(q, k):
+    # Q = q^2 (x + o)^2 + 2 (y + 1/2)^2 with o = -(k + 1/q): the points with
+    # Q <= 3/2 are (k, 0) and (k, -1), both on the boundary. The entry q^2
+    # is above 10^15; in floats x + o at x = k loses the 1/q to rounding for
+    # large k, and a slack of 1e-6 (1 + |bound|) then prunes both points.
+    g = [[q * q, 0], [0, 2]]
+    off = [Fraction(-(k * q + 1), q), Fraction(1, 2)]
+    bound = Fraction(3, 2)
+
+    def qval(x):
+        y = [Fraction(x[i]) + off[i] for i in range(2)]
+        return bilinear(g, y, y)
+
+    inside = sorted((x, y) for x in range(k - 3, k + 4) for y in range(-3, 4)
+                    if qval((x, y)) <= bound)
+    assert inside == [(k, -1), (k, 0)]
+    assert all(qval(v) == bound for v in inside)
+    assert enumerate_short_vectors(g, bound, off) == inside
+    assert enumerate_short_vectors(g, bound, off, boundary=True) == inside
+    assert enumerate_short_vectors(g, bound, boundary=True,
+                                   g_offset=mat_vec(g, off)) == inside
+
+
+def test_short_vectors_rational_form_and_empty_dimension():
+    half = Fraction(1, 2)
+    assert enumerate_short_vectors([[half, 0], [0, half]], 1) == \
+        enumerate_short_vectors([[1, 0], [0, 1]], 2)
+    assert enumerate_short_vectors([], 0) == [()]
+    assert enumerate_short_vectors([], 1, boundary=True) == []
+    assert enumerate_short_vectors([[1]], -1) == []
+    with pytest.raises(ValueError):
+        enumerate_short_vectors([[1]], 1, [0], g_offset=[0])
+
+
+def _check_lll(basis, gram):
+    red = lll_reduce(basis, gram)
+    k = len(basis)
+    t = [list(r) for r in red.transform]
+    assert abs(mat_det(t)) == 1  # unimodular: the same lattice
+    assert [list(v) for v in red.basis] == mat_mul(t, basis)
+    assert [list(r) for r in red.gram] == [
+        [bilinear(gram, bi, bj) for bj in red.basis] for bi in red.basis]
+    gs = red.gram_schmidt
+    assert gs == integral_gram_schmidt([list(r) for r in red.gram])
+    d, lam = gs.d, gs.lam
+    for i in range(k):
+        for j in range(i):
+            assert 2 * abs(lam[i][j]) <= d[j + 1]  # size-reduced
+    for i in range(1, k):
+        # Lovasz at 99/100: d_{i+1} d_{i-1} >= 99/100 d_i^2 - lam_{i,i-1}^2
+        assert 100 * (d[i + 1] * d[i - 1] + lam[i][i - 1] ** 2) >= 99 * d[i] ** 2
+    return red
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_lll_properties(seed):
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4, 5, 6])
+    gram = _random_definite(rng, n)
+    k = rng.randint(1, n)
+    while True:
+        basis = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(k)]
+        if mat_det(mat_mul(basis, [list(c) for c in zip(*basis)])) != 0:
+            break
+    red = _check_lll(basis, gram)
+    # the minima stay, and the first vector is no longer than any input
+    assert red.gram[0][0] <= min(bilinear(gram, v, v) for v in basis)
+
+
+def test_lll_on_an_indefinite_ambient_form():
+    # the hyperbolic plane plus a definite block: (1, 1, 0) spans a definite
+    # line, (1, 0, 0) is isotropic
+    gram = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
+    red = _check_lll([[7, 5, 3], [0, 0, 1]], gram)
+    assert red.gram_schmidt.d[-1] == mat_det([list(r) for r in red.gram])
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 0, 0]], gram)
+
+
+def test_gram_schmidt_orthogonal_norm():
+    gs = integral_gram_schmidt([[2, 1], [1, 2]])
+    assert gs.d == (1, 2, 3) and gs.lam == ((), (1,))
+    # x = (1, 0, 1) against b = (1, 0, 0), (0, 1, 0) under diag(2, 2, 5) with
+    # a (1, 2) coupling: x* is e_2 minus nothing, so (x*, x*) = 5
+    gs = integral_gram_schmidt([[2, 0], [0, 2]])
+    assert gs.orthogonal_norm([2, 0], 7) == 5
+    assert gs.orthogonal_norm([1, 1], 3) == 2
+
+
+def test_gram_schmidt_rejects_asymmetric_and_indefinite():
+    with pytest.raises(ValueError):
+        integral_gram_schmidt([[1, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        integral_gram_schmidt([[1, 2], [2, 1]])
 
 
 def test_nullspace_and_inverse():
