@@ -121,7 +121,7 @@ def find_path(cfg: GraphConfig, src, dst, *,
     `cache` maps vertices to their neighbor lists; searches on one graph
     that share it expand each vertex once. A cache hit still counts as an
     expansion, so node_budget and nodes_expanded do not depend on it."""
-    g = cfg.lattice.gram
+    g = [list(r) for r in cfg.lattice.gram]
     cache = {} if cache is None else cache
     src = tuple(src)
     dst = tuple(dst)
@@ -299,7 +299,7 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
     # r_w = r_{-w}, so either sheet of the target certifies; try the one
     # pairing negatively with v first
     targets = [gv, tuple(-x for x in gv)]
-    if bilinear(lat.gram, list(src), list(gv)) > 0:
+    if bilinear([list(r) for r in lat.gram], list(src), list(gv)) > 0:
         targets.reverse()
     cache: dict = {}
     expanded = 0
