@@ -7,7 +7,7 @@ group)."""
 import argparse
 
 from hypermono.appendix_data import EXAMPLES
-from hypermono.growth import growth_run, saturated_word_limit
+from hypermono.growth import growth_run
 
 
 def main():
@@ -23,8 +23,7 @@ def main():
     ex = EXAMPLES[6]
     gens = [[list(map(int, r)) for r in ex.A],
             [list(map(int, r)) for r in ex.B]]
-    wl = args.word_limit or saturated_word_limit(gens, args.tmax)
-    run = growth_run(gens, args.tmin, args.tmax, args.points, wl)
+    run = growth_run(gens, args.tmin, args.tmax, args.points, args.word_limit)
 
     lines = ["T,count,log10T,log10N"]
     import math
@@ -38,7 +37,8 @@ def main():
             fh.write(body + "\n")
     else:
         print(body)
-    print(f"word_limit={wl} slope={run.slope:.4f} residual={run.residual:.4f}")
+    print(f"word_limit={run.word_limit} slope={run.slope:.4f} "
+          f"residual={run.residual:.4f}")
 
 
 if __name__ == "__main__":

@@ -174,13 +174,8 @@ def cmd_certify(args) -> dict:
 def cmd_growth(args) -> tuple[str, dict]:
     m = _build(args)
     gens = [[list(r) for r in m.A], [list(r) for r in m.B]]
-    if args.word_limit is not None:
-        word_limit = args.word_limit
-    else:
-        word_limit = growth.saturated_word_limit(gens, args.tmax,
-                                                 margin=args.margin)
     run = growth.growth_run(gens, args.tmin, args.tmax, args.points,
-                            word_limit, margin=args.margin)
+                            args.word_limit, margin=args.margin)
     import math
     lines = ["T,count,log10T,log10N"]
     for t, c in zip(run.t_grid, run.counts):

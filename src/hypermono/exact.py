@@ -1,5 +1,6 @@
 """Exact rational/integer linear algebra, cyclotomic polynomials, Smith normal
-form, integral LLL and short-vector enumeration.
+form, integral LLL, short-vector enumeration, and the breadth-first word
+enumeration that the growth probe and the rank-3 checks share.
 
 Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are lists of rows over int or Fraction.
@@ -284,6 +285,34 @@ def primitive_integer_vector(v: Vec) -> list[int]:
         g = gcd(g, x)
     assert g != 0, "zero vector has no primitive scaling"
     return [x // g for x in ints]
+
+
+# ---------------------------------------------------------------------------
+# breadth-first word enumeration
+# ---------------------------------------------------------------------------
+
+def word_bfs(start, gens, mul, key, depth: int, keep=None):
+    """Breadth-first over the elements start * g1 * ... * gk (gi in gens,
+    products formed by `mul`, k <= depth): yields (k, x) the first time
+    key(x) is reached, from (0, start) on, lazily, so a consumer that stops
+    computes nothing further. A product failing `keep` is dropped before
+    the dedupe check."""
+    seen = {key(start)}
+    frontier = [start]
+    yield 0, start
+    for length in range(1, depth + 1):
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if keep is not None and not keep(y):
+                    continue
+                k = key(y)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(y)
+                    yield length, y
+        frontier = nxt
 
 
 # ---------------------------------------------------------------------------

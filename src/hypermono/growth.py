@@ -4,17 +4,21 @@ with trace(g^t g) <= T^2 and a log-log least-squares slope fit."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
-from .exact import mat_inv, mat_mul, mat_to_int
-
-
-def _frob_sq(mat) -> int:
-    return sum(x * x for row in mat for x in row)
+from .exact import identity, mat_inv, mat_mul, mat_to_int, word_bfs
 
 
 def _key(mat) -> tuple:
-    return tuple(x for row in mat for x in row)
+    return tuple(chain.from_iterable(mat))
+
+
+def _frob_sq(mat) -> int:
+    entries = _key(mat)
+    return sum(map(mul, entries, entries))
 
 
 def closure_under_inverse(generators):
@@ -35,6 +39,23 @@ class BallCount:
     truncated: bool  # word limit reached with the frontier still growing
 
 
+def _norm_stream(generators, t: int, depth: int, margin: int):
+    """(length, trace(g^t g)) for each group element g reached by a word of
+    length <= depth, in breadth-first discovery order; words with
+    trace(g^t g) > (margin*T)^2 are pruned. Validates before any product."""
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    if depth < 0:
+        raise ValueError("word limit must be at least 0")
+    gens = closure_under_inverse(generators)
+    if not gens:
+        raise ValueError("at least one generator required")
+    prune_sq = (margin * t) ** 2
+    ball = word_bfs(identity(len(gens[0])), gens, mat_mul, _key, depth,
+                    keep=lambda g: _frob_sq(g) <= prune_sq)
+    return ((length, _frob_sq(g)) for length, g in ball)
+
+
 def enumerate_ball(generators, t: int, word_limit: int, *,
                    margin: int = 4) -> BallCount:
     """Lower bound for |{g in the group : trace(g^t g) <= T^2}| from words of
@@ -42,36 +63,11 @@ def enumerate_ball(generators, t: int, word_limit: int, *,
 
     Balls are not prefix-closed, hence the margin; the result is an explicit
     lower bound, never an exact count."""
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
-    gens = closure_under_inverse(generators)
-    if not gens:
-        raise ValueError("at least one generator required")
-    n = len(gens[0])
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    seen = {_key(ident)}
-    frontier = [ident]
-    prune_sq = (margin * t) ** 2
     t_sq = t * t
-    count = 1 if _frob_sq(ident) <= t_sq else 0
-    for _ in range(word_limit):
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = mat_mul(g, h)
-                if _frob_sq(prod) > prune_sq:
-                    continue
-                k = _key(prod)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(prod)
-                if _frob_sq(prod) <= t_sq:
-                    count += 1
-        frontier = nxt
-        if not frontier:
-            break
-    return BallCount(count, truncated=bool(frontier))
+    count = length = 0
+    for length, fs in _norm_stream(generators, t, word_limit, margin):
+        count += fs <= t_sq
+    return BallCount(count, truncated=length == word_limit)
 
 
 @dataclass(frozen=True)
@@ -111,59 +107,50 @@ def fit_slope(t_grid, counts) -> tuple[float, float]:
 
 
 def growth_run(generators, t_min: int, t_max: int, points: int,
-               word_limit: int, *, margin: int = 4) -> GrowthRun:
-    """Single enumeration at t_max, counts read off per grid threshold."""
-    gens = closure_under_inverse(generators)
-    n = len(gens[0])
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    seen = {_key(ident)}
-    norms = [_frob_sq(ident)]
-    frontier = [ident]
-    prune_sq = (margin * t_max) ** 2
-    for _ in range(word_limit):
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = mat_mul(g, h)
-                fs = _frob_sq(prod)
-                if fs > prune_sq:
-                    continue
-                k = _key(prod)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(prod)
-                norms.append(fs)
-        frontier = nxt
-        if not frontier:
-            break
-    norms.sort()
+               word_limit: int | None = None, *, margin: int = 4) -> GrowthRun:
+    """Single enumeration at t_max, counts read off per grid threshold. With
+    word_limit None the same enumeration first chooses the limit, as
+    saturated_word_limit(generators, t_max, margin=margin) does."""
     grid = geometric_grid(t_min, t_max, points)
-    counts = []
-    for t in grid:
-        t_sq = t * t
-        lo, hi = 0, len(norms)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if norms[mid] <= t_sq:
-                lo = mid + 1
-            else:
-                hi = mid
-        counts.append(lo)
+    if word_limit is None:
+        word_limit, norms = _saturate(generators, t_max, margin=margin)
+    else:
+        norms = [fs for _, fs in _norm_stream(generators, t_max, word_limit,
+                                              margin)]
+    norms.sort()
+    counts = [bisect_right(norms, t * t) for t in grid]
     slope, rss = fit_slope(grid, counts)
     return GrowthRun(tuple(grid), tuple(counts), word_limit, margin,
                      slope, rss)
 
 
+def _saturate(generators, t: int, *, start: int = 4, margin: int = 4,
+              max_limit: int = 64) -> tuple[int, list[int]]:
+    """Smallest word limit L in start, start + 2, ... below max_limit whose
+    ball count at T equals the count at L + 2, with the norms of the words
+    of length <= L. The words of length <= L are a prefix of those of
+    length <= L + 2, so one enumeration serves every L; it is read to the
+    first element past level L + 2."""
+    limits = range(start, max_limit, 2)
+    depth = limits[-1] + 2 if limits else 0
+    stream = _norm_stream(generators, t, depth, margin)
+    norms, levels = [], []  # levels[k]: (len(norms), ball count) at limit k
+    count = 0
+    pending = next(stream)
+    for k in range(depth + 1):
+        while pending and pending[0] == k:
+            norms.append(pending[1])
+            count += pending[1] <= t * t
+            pending = next(stream, None)
+        levels.append((len(norms), count))
+        if k - 2 in limits and levels[k - 2][1] == count:
+            del norms[levels[k - 2][0]:]
+            return k - 2, norms
+    raise ValueError(f"no saturation below word limit {max_limit}")
+
+
 def saturated_word_limit(generators, t: int, *, start: int = 4,
                          margin: int = 4, max_limit: int = 64) -> int:
     """Smallest word limit whose ball count matches the count at limit + 2."""
-    limit = start
-    prev = enumerate_ball(generators, t, limit, margin=margin).count
-    while limit < max_limit:
-        cur = enumerate_ball(generators, t, limit + 2, margin=margin).count
-        if cur == prev:
-            return limit
-        limit += 2
-        prev = cur
-    raise ValueError(f"no saturation below word limit {max_limit}")
+    return _saturate(generators, t, start=start, margin=margin,
+                     max_limit=max_limit)[0]

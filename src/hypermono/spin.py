@@ -7,9 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .appendix_data import EXAMPLES
-from .exact import mat_eq, mat_inv, mat_mul, mat_neg
+from .exact import mat_eq, mat_inv, mat_mul, mat_neg, word_bfs
 
 F = Fraction
 
@@ -78,25 +80,18 @@ def word_search(generators, target, max_len: int):
     def key(m):
         return tuple(x for row in m for x in row)
 
+    def step(state, gen):
+        # state: (key, matrix, word)
+        prod = mat_mul(state[1], gen[0])
+        return key(prod), prod, state[2] + (gen[1],)
+
     ident = [[F(1), F(0)], [F(0), F(1)]]
     goal = {key(target), key(mat_neg(target))}
-    if key(ident) in goal:
-        return []
-    frontier = [(ident, [])]
-    seen = {key(ident)}
-    for _ in range(max_len):
-        nxt = []
-        for m, word in frontier:
-            for g, step in gens:
-                prod = mat_mul(m, g)
-                k = key(prod)
-                if k in goal:
-                    return word + [step]
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append((prod, word + [step]))
-        frontier = nxt
+    states = word_bfs((key(ident), ident, ()), gens, step, itemgetter(0),
+                      max_len)
+    for _, (k, _, word) in states:
+        if k in goal:
+            return list(word)
     return None
 
 
@@ -229,31 +224,22 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
     def key(m):
         return tuple(round(x, 9) for row in m for x in row)
 
+    def mul(m, g):
+        return [[sum(m[i][k] * g[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+
     ident = [[float(i == j) for j in range(3)] for i in range(3)]
-    seen = {key(ident)}
-    frontier = [ident]
     images = []
     stabilized = False
-    for _ in range(word_depth):
-        nxt = []
-        for m in frontier:
-            for g in full:
-                prod = [[sum(m[i][k] * g[k][j] for k in range(3))
-                         for j in range(3)] for i in range(3)]
-                k = key(prod)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(prod)
-                p = [sum(prod[i][j] * p0[j] for j in range(3))
-                     for i in range(3)]
-                if p[2] < 0:
-                    p = [-x for x in p]  # keep to the upper sheet
-                if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
-                    stabilized = True
-                    continue
-                images.append(tuple(p))
-        frontier = nxt
+    words = word_bfs(ident, full, mul, key, word_depth)
+    for _, prod in islice(words, 1, None):  # every element but the identity
+        p = [sum(prod[i][j] * p0[j] for j in range(3)) for i in range(3)]
+        if p[2] < 0:
+            p = [-x for x in p]  # keep to the upper sheet
+        if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
+            stabilized = True
+            continue
+        images.append(tuple(p))
 
     if stabilized:
         if _retried:

@@ -21,7 +21,7 @@ from hypermono.exponents import (
     match_family,
     to_factorial_form,
 )
-from hypermono.growth import growth_run, saturated_word_limit
+from hypermono.growth import growth_run
 from hypermono.lattice import (
     EVEN_TYPE,
     QuadLattice,
@@ -299,15 +299,16 @@ def test_acceptance_11_growth_slope():
     t0 = time.monotonic()
     ex = EXAMPLES[6]
     gens = [[list(map(int, r)) for r in ex.A], [list(map(int, r)) for r in ex.B]]
-    wl = saturated_word_limit(gens, 10_000)
-    run1 = growth_run(gens, 100, 10_000, 10, wl)
-    run2 = growth_run(gens, 100, 10_000, 10, wl)
+    # run1 saturates and counts in one enumeration; run2 is given its limit
+    run1 = growth_run(gens, 100, 10_000, 10)
+    run2 = growth_run(gens, 100, 10_000, 10, run1.word_limit)
     ok = 0.80 <= run1.slope <= 1.15
     ok = ok and run1.counts == run2.counts and run1.slope == run2.slope
     ok = ok and all(x <= y for x, y in zip(run1.counts, run1.counts[1:]))
     report(11, ok, 600, time.monotonic() - t0,
            f"fitted growth exponent {run1.slope:.3f} in [0.80, 1.15] at "
-           f"saturated word limit {wl}; deterministic and monotone")
+           f"saturated word limit {run1.word_limit}; deterministic and "
+           "monotone")
 
 
 TABLE_ROWS = [

@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from hypermono import levelt
 from hypermono.cli import run
 
@@ -128,3 +130,21 @@ def test_growth_csv(capsys):
     meta = json.loads(lines[-1])
     assert "slope" in meta
     assert len(lines) >= 6
+
+
+@pytest.mark.parametrize("margin", ["0", "-4"])
+@pytest.mark.parametrize("limit", [["--word-limit", "6"], []])
+def test_growth_rejects_bad_margin(capsys, margin, limit):
+    code, d = run_json(capsys, ["growth", "--name", "M1", "--n", "3",
+                                "--tmin", "10", "--tmax", "1000",
+                                "--points", "6", "--margin", margin] + limit)
+    assert code == 2
+    assert d == {"error": "margin must be at least 1"}
+
+
+def test_growth_rejects_bad_grid(capsys):
+    code, d = run_json(capsys, ["growth", "--name", "M1", "--n", "3",
+                                "--tmin", "10", "--tmax", "1000",
+                                "--points", "1"])
+    assert code == 2
+    assert "at least 2 points" in d["error"]

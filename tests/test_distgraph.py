@@ -59,9 +59,13 @@ def test_neighbors_against_brute_force():
         got = set(neighbors(cfg, u))
         box = 8
         brute = set()
+        # (u, w) = u^t G w is linear in w: test it first, against u^t G
+        ug = [sum(u[i] * g[i][j] for i in range(5)) for j in range(5)]
         for w in itertools.product(range(-box, box + 1), repeat=5):
+            if sum(a * b for a, b in zip(ug, w)) != cfg.edge_value:
+                continue
             wl = list(w)
-            if bilinear(g, wl, wl) == -2 and bilinear(g, u, wl) == cfg.edge_value:
+            if bilinear(g, wl, wl) == -2:
                 brute.add(w)
         # everything the brute force finds in its box must be reported
         assert brute <= got, fid

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -140,16 +141,22 @@ def test_short_vectors_vs_brute_force(seed):
     off = [Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
     bound = Fraction(rng.randint(1, 20))
     got = set(enumerate_short_vectors(g, bound, off))
+    # Q(x + off) <= bound, scaled by den^2 to integers
+    den = lcm(*(f.denominator for f in off))
+    num = [int(f * den) for f in off]
+    scaled_bound = bound * den * den
+    assert scaled_bound.denominator == 1
+    scaled_bound = int(scaled_bound)
 
-    def qval(x):
-        y = [Fraction(x[i]) + off[i] for i in range(n)]
+    def scaled_qval(x):
+        y = [den * x[i] + num[i] for i in range(n)]
         return bilinear(g, y, y)
 
     for v in got:
-        assert qval(v) <= bound
+        assert scaled_qval(v) <= scaled_bound
     box = 6
     for x in itertools.product(range(-box, box + 1), repeat=n):
-        if qval(x) <= bound:
+        if scaled_qval(x) <= scaled_bound:
             assert x in got
 
 

@@ -6,14 +6,20 @@ on top-level imports that nothing in the module refers to (`from __future__`
 imports are exempt), and on a float literal, a `float(` call or a
 math.sqrt/floor/ceil in the modules whose results certify something.
 `growth` and `spin` measure and draw, and are exempt.
+
+It also checks that every function the benchmark tracer wraps by name
+(`SPANNED` in bench/tracing.py) still exists, since `--trace 1` looks each
+one up with getattr.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hypermono"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hypermono"
 MODULES = sorted(SRC.glob("*.py"))
 EXACT_MODULES = ("exact.py", "lattice.py", "levelt.py", "distgraph.py",
                  "exponents.py")
@@ -83,3 +89,23 @@ def test_detects_floating_point():
     assert sorted(float_uses(src)) == [
         "float literal 1e-06 (line 3)", "float( call (line 3)",
         "math.ceil (line 3)", "math.floor (line 2)", "math.sqrt (line 3)"]
+
+
+def _spanned() -> dict:
+    source = (ROOT / "bench" / "tracing.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "SPANNED"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("SPANNED not found in bench/tracing.py")
+
+
+def test_traced_functions_exist():
+    spanned = _spanned()
+    assert "growth" in spanned and "spin" in spanned
+    missing = [f"{module}.{name}" for module, names in spanned.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"hypermono.{module}"), name, None))]
+    assert missing == []
