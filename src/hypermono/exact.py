@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 
@@ -438,64 +439,49 @@ def integer_kernel_and_solution(row: list[int], target: int):
 
 
 # ---------------------------------------------------------------------------
-# signature (Sylvester inertia) of a symmetric rational matrix
+# signature (Sylvester inertia) of a symmetric integer matrix
 # ---------------------------------------------------------------------------
 
 def signature_of_symmetric(g: Mat) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia, exact congruence diagonalization."""
+    """(positive, negative, zero) inertia of a symmetric integer matrix, read
+    off the integral Gram-Schmidt recurrence (`_gram_schmidt_row`).
+
+    Vectors join a chain while the next leading minor d_k of the chain is
+    nonzero; the k-th pivot (b*_k, b*_k) = d_k / d_{k-1} has the sign of
+    d_k d_{k-1}. When every remaining vector is null on the orthogonal
+    complement of the chain, the sum x + y of two that pair nonzero there
+    has norm 2(x*, y*) != 0 and joins in place of x (the span is kept, so by
+    Sylvester's law the inertia is). The projections of what is left then
+    span the radical, so each counts as zero."""
     n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
     for i in range(n):
-        for j in range(n):
-            assert a[i][j] == a[j][i], "matrix is not symmetric"
-    pos = neg = zero = 0
+        for j in range(i):
+            assert g[i][j] == g[j][i], "matrix is not symmetric"
+    rest = [[int(i == j) for j in range(n)] for i in range(n)]
+    picked: list[Vec] = []
+    d, lam = [1], []
+    pos = neg = 0
 
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
+    def candidates():
+        yield from enumerate(rest)
+        for i, j in combinations(range(len(rest)), 2):
+            yield i, [a + b for a, b in zip(rest[i], rest[j])]
 
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            # all diagonal zero; find an off-diagonal entry to fold in
-            hit = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                zero += n - k
+    while True:
+        for i, x in candidates():
+            gx = mat_vec(g, x)
+            row, dk = _gram_schmidt_row(d, lam, [dot(b, gx) for b in picked],
+                                        dot(x, gx))
+            if dk:
                 break
-            i, j = hit
-            # row/col i += row/col j makes a[i][i] = 2*a[i][j] != 0
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            sym_swap(k, piv)
-        p = a[k][k]
-        if p > 0:
-            pos += 1
         else:
-            neg += 1
-        # Schur complement of the pivot (congruence update)
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] / p
-                for c in range(k + 1, n):
-                    a[r][c] -= f * a[k][c]
-        for r in range(k + 1, n):
-            for c in range(k + 1, r):
-                a[r][c] = a[c][r] = (a[r][c] + a[c][r]) / 2
-            a[r][k] = a[k][r] = Fraction(0)
-        k += 1
-    return pos, neg, zero
+            return pos, neg, len(rest)
+        pos += dk * d[-1] > 0
+        neg += dk * d[-1] < 0
+        del rest[i]
+        picked.append(x)
+        lam.append(row)
+        d.append(dk)
 
 
 # ---------------------------------------------------------------------------

@@ -308,19 +308,16 @@ def match_family(pair: ExponentPair) -> list[FamilyId]:
     n = pair.n
     dens = {x.denominator for x in pair.alpha + pair.beta}
     big_n = lcm(2, *dens)
-    shifted = []
-    for t in range(big_n):
-        q = scalar_shift(pair, Fraction(t, big_n))
-        shifted.append((set(Counter(q.alpha).items()), set(Counter(q.beta).items())))
+    shifted = {scalar_shift(pair, Fraction(t, big_n)) for t in range(big_n)}
     out = []
     for fid in _candidate_ids(n):
         try:
-            cand = make_family(fid)
+            # the validating build runs only on a match
+            if make_family(fid, _validate=False) in shifted:
+                make_family(fid)
+                out.append(fid)
         except FamilyError:
             continue
-        key = (set(Counter(cand.alpha).items()), set(Counter(cand.beta).items()))
-        if key in [s for s in shifted]:
-            out.append(fid)
     return out
 
 

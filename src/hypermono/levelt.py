@@ -6,16 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import (
-    identity,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_to_int,
-    mat_vec,
-    nullspace,
-    primitive_integer_vector,
-)
+from .exact import dot, identity, integral_gram_schmidt, mat_mul, mat_vec
 from .exponents import ExponentPair, classify, cyclotomic_structure, poly_from_structure
 
 
@@ -85,21 +76,20 @@ def build(pair: ExponentPair) -> MonodromySystem:
     n = pair.n
     A = companion_matrix(p)
     B = companion_matrix(q)
-    C = mat_to_int(mat_mul(mat_inv(A), B))
     # Cartan vector: closed form (a_{n-1}+b_{n-1}, ..., a_1+b_1, 2)
     # where P = z^n + a_1 z^{n-1} + ... + a_n (descending-index coefficients)
     v = [p[i] + q[i] for i in range(1, n)] + [2]
-    # cross-check against the kernel of C + I
-    cm = [[C[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ker = nullspace(cm)
-    if len(ker) != 1:
+    # A and B share their first n - 1 columns, so C = A^{-1}B is I but for
+    # its last column. If A v = q - p (p, q without their leading 1), then
+    # A (I - v e_n^t) = B, so C = I - v e_n^t, C v = -v as v_n = 2, and
+    # C + I = 2I - v e_n^t has kernel the line through v: the (-1)-eigenspace
+    # is one-dimensional. The closed form satisfies every row of A v = q - p
+    # but the first, which needs q_0 = -p_0. Otherwise q_0 = p_0 = +-1, so
+    # det C = 1 and the pseudo-reflection C has no eigenvalue -1.
+    if mat_vec(A, v) != [q[i] - p[i] for i in range(n)]:
         raise ValueError("Cartan eigenspace is not one-dimensional")
-    kv = primitive_integer_vector(ker[0])
-    if kv[-1] < 0:
-        kv = [-x for x in kv]
-    scale = v[-1] // kv[-1] if kv[-1] else 0
-    if [x * scale for x in kv] != v:
-        raise AssertionError("closed-form Cartan vector disagrees with ker(C+I)")
+    C = [[(i == j) - (v[i] if j == n - 1 else 0) for j in range(n)]
+         for i in range(n)]
     order_a = _finite_order(sa)
     order_b = _finite_order(sb)
     if order_a is not None:
@@ -127,16 +117,24 @@ def lattice_basis(m: MonodromySystem) -> list[list[int]]:
     basis = [list(m.v)]
     for _ in range(m.n - 1):
         basis.append(mat_vec(g, basis[-1]))
-    det = mat_det([list(col) for col in zip(*basis)])
-    if det == 0:
-        raise ValueError("lattice basis is linearly dependent")
+    # the dot-product Gram matrix is positive definite iff the basis is
+    # independent, which is what integral_gram_schmidt checks
+    try:
+        integral_gram_schmidt([[dot(a, b) for b in basis] for a in basis])
+    except ValueError:
+        raise ValueError("lattice basis is linearly dependent") from None
     return basis
 
 
 def hr_generators(m: MonodromySystem, count: int) -> list[list[list[int]]]:
     """Cartan involutions -g^i C g^{-i} for i = 0..count-1."""
     g = m.rotation_matrix()
-    ginv = mat_to_int(mat_inv(g))
+    # g has finite order, so g^{-1} = g^(order - 1), by repeated squaring
+    ginv, sq, e = identity(m.n), g, m.rotation_order - 1
+    while e:
+        if e & 1:
+            ginv = mat_mul(ginv, sq)
+        sq, e = mat_mul(sq, sq), e >> 1
     out = []
     gi = identity(m.n)
     gii = identity(m.n)

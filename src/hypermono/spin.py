@@ -11,7 +11,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .appendix_data import EXAMPLES
-from .exact import mat_eq, mat_inv, mat_mul, mat_neg, word_bfs
+from .exact import mat_eq, mat_inv, mat_mul, mat_neg, mat_to_int, word_bfs
 
 F = Fraction
 
@@ -67,15 +67,18 @@ def congruence_check(g, n: int) -> bool:
 
 def word_search(generators, target, max_len: int):
     """Shortest word in the generators and inverses equal to +-target;
-    returns a list of (generator index, +-1) or None."""
+    returns a list of (generator index, +-1) or None. The generators and
+    the target must be integer matrices, the generators of determinant 1,
+    so each inverse is the integer adjugate."""
     gens = []
     for i, g in enumerate(generators):
-        g = [[F(x) for x in row] for row in g]
+        g = mat_to_int(g)
         if _det2(g) != 1:
             raise ValueError("word search expects SL2 generators")
+        (a, b), (c, d) = g
         gens.append((g, (i, 1)))
-        gens.append((mat_inv(g), (i, -1)))
-    target = [[F(x) for x in row] for row in target]
+        gens.append(([[d, -b], [-c, a]], (i, -1)))
+    target = mat_to_int(target)
 
     def key(m):
         return tuple(x for row in m for x in row)
@@ -85,7 +88,7 @@ def word_search(generators, target, max_len: int):
         prod = mat_mul(state[1], gen[0])
         return key(prod), prod, state[2] + (gen[1],)
 
-    ident = [[F(1), F(0)], [F(0), F(1)]]
+    ident = [[1, 0], [0, 1]]
     goal = {key(target), key(mat_neg(target))}
     states = word_bfs((key(ident), ident, ()), gens, step, itemgetter(0),
                       max_len)

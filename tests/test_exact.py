@@ -102,6 +102,88 @@ def test_signature_examples():
     assert signature_of_symmetric([[0, 0], [0, 0]]) == (0, 0, 2)
 
 
+def test_signature_fold_and_radical():
+    # no nonzero diagonal pivot: the pair sum joins, the rest is the radical
+    assert signature_of_symmetric([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert signature_of_symmetric([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+    assert signature_of_symmetric([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == (1, 1, 1)
+    # e_1 and e_2 are null only after projection off e_0; e_1 + e_2 joins
+    assert signature_of_symmetric([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == (2, 1, 0)
+    assert signature_of_symmetric([]) == (0, 0, 0)
+
+
+# The earlier signature, kept as an oracle: congruence diagonalization over
+# Fraction with symmetric Schur complements, folding row/column j into i
+# when the remaining diagonal is all zero.
+
+def _oracle_signature(g):
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    pos = neg = zero = 0
+
+    def sym_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if piv is None:
+            hit = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if a[i][j] != 0), None)
+            if hit is None:
+                zero += n - k
+                break
+            i, j = hit
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            piv = i
+        if piv != k:
+            sym_swap(k, piv)
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            if a[r][k] != 0:
+                f = a[r][k] / p
+                for c in range(k + 1, n):
+                    a[r][c] -= f * a[k][c]
+        for r in range(k + 1, n):
+            for c in range(k + 1, r):
+                a[r][c] = a[c][r] = (a[r][c] + a[c][r]) / 2
+            a[r][k] = a[k][r] = Fraction(0)
+        k += 1
+    return pos, neg, zero
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size 0..6; some with a zero diagonal,
+    some rank-deficient (P^t m P for a selection P with repeated columns)."""
+    n = draw(st.integers(0, 6))
+    bound = draw(st.sampled_from([1, 3, 20]))
+    upper = draw(st.lists(st.integers(-bound, bound),
+                          min_size=n * n, max_size=n * n))
+    m = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n and draw(st.booleans()):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        m = [[m[r][c] for c in cols] for r in cols]
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_symmetric_matrices())
+def test_signature_matches_fraction_oracle(m):
+    assert signature_of_symmetric(m) == _oracle_signature(m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                 min_size=3, max_size=3),

@@ -5,7 +5,9 @@ No linter is a dependency, so this parses each module with `ast`. It fails
 on top-level imports that nothing in the module refers to (`from __future__`
 imports are exempt), and on a float literal, a `float(` call or a
 math.sqrt/floor/ceil in the modules whose results certify something.
-`growth` and `spin` measure and draw, and are exempt.
+`growth` and `spin` measure and draw, and are exempt. The construction and
+search modules (`levelt`, `lattice`, `distgraph`) work in integers alone and
+must not name `Fraction`.
 
 It also checks that every function the benchmark tracer wraps by name
 (`SPANNED` in bench/tracing.py) still exists, since `--trace 1` looks each
@@ -24,6 +26,7 @@ MODULES = sorted(SRC.glob("*.py"))
 EXACT_MODULES = ("exact.py", "lattice.py", "levelt.py", "distgraph.py",
                  "exponents.py")
 FLOAT_MATH = {"sqrt", "floor", "ceil"}
+INTEGER_MODULES = ("levelt.py", "lattice.py", "distgraph.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,6 +92,31 @@ def test_detects_floating_point():
     assert sorted(float_uses(src)) == [
         "float literal 1e-06 (line 3)", "float( call (line 3)",
         "math.ceil (line 3)", "math.floor (line 2)", "math.sqrt (line 3)"]
+
+
+def fraction_uses(source: str) -> list[str]:
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in ("Fraction", "fractions"):
+            hits.append(f"{name} (line {node.lineno})")
+    return hits
+
+
+@pytest.mark.parametrize("name", INTEGER_MODULES)
+def test_no_fraction_in_integer_modules(name):
+    assert fraction_uses((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_detects_fraction():
+    src = ("from fractions import Fraction\n"
+           "import fractions\n"
+           "a = Fraction(1, 2) + fractions.Fraction(1, 3)\n")
+    assert sorted(fraction_uses(src)) == [
+        "Fraction (line 1)", "Fraction (line 3)", "Fraction (line 3)",
+        "fractions (line 2)", "fractions (line 3)"]
 
 
 def _spanned() -> dict:

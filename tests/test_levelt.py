@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from hypermono.exact import (
     identity,
     mat_det,
@@ -8,9 +12,23 @@ from hypermono.exact import (
     mat_vec,
     nullspace,
 )
-from hypermono.exponents import FamilyId, cyclotomic_structure, make_family, poly_from_structure
+from hypermono.exponents import (
+    ExponentPair,
+    FamilyError,
+    FamilyId,
+    _candidate_ids,
+    cyclotomic_structure,
+    make_family,
+    poly_from_structure,
+)
 from hypermono.lattice import invariant_form, reflection, root_vector
-from hypermono.levelt import build, companion_matrix, hr_generators, lattice_basis
+from hypermono.levelt import (
+    MonodromySystem,
+    build,
+    companion_matrix,
+    hr_generators,
+    lattice_basis,
+)
 
 SAMPLE_IDS = [
     FamilyId("M1", 1, None, 5),
@@ -58,6 +76,58 @@ def test_build_polynomials_and_C():
         assert mat_vec(c, list(m.v)) == [-x for x in m.v]
 
 
+def _rational_C(m):
+    return mat_to_int(mat_mul(mat_inv([list(r) for r in m.A]),
+                              [list(r) for r in m.B]))
+
+
+def test_build_C_equals_rational_solve_on_families():
+    # C = I - v e_n^t from the closed form, against A^{-1} B over Q
+    count = 0
+    for n in range(3, 12):
+        for fid in _candidate_ids(n):
+            try:
+                m = build(make_family(fid))
+            except (FamilyError, ValueError):
+                continue
+            assert [list(r) for r in m.C] == _rational_C(m), fid
+            count += 1
+    assert count == 192
+
+
+F = Fraction
+NON_FAMILY_PAIRS = [
+    ([0, F(1, 3), F(2, 3)], [F(1, 2), F(1, 4), F(3, 4)]),
+    ([0, F(1, 2), F(1, 3), F(2, 3)], [F(1, 4), F(3, 4), F(1, 6), F(5, 6)]),
+    ([0, F(1, 5), F(2, 5), F(3, 5), F(4, 5)],
+     [F(1, 2), F(1, 4), F(3, 4), F(1, 6), F(5, 6)]),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", NON_FAMILY_PAIRS)
+def test_build_C_equals_rational_solve_off_families(alpha, beta):
+    m = build(ExponentPair.make(alpha, beta))
+    assert [list(r) for r in m.C] == _rational_C(m)
+    assert mat_vec([list(r) for r in m.C], list(m.v)) == [-x for x in m.v]
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    ([0, 0], [F(1, 2), F(1, 2)]),
+    ([F(1, 3), F(2, 3)], [F(1, 4), F(3, 4)]),
+])
+def test_build_rejects_equal_constant_terms(alpha, beta):
+    # p(0) = q(0): A^{-1} B has determinant 1 and no eigenvalue -1
+    pair = ExponentPair.make(alpha, beta)
+    a = companion_matrix(poly_from_structure(cyclotomic_structure(pair.alpha)))
+    b = companion_matrix(poly_from_structure(cyclotomic_structure(pair.beta)))
+    c = mat_to_int(mat_mul(mat_inv(a), b))
+    n = len(c)
+    assert nullspace([[c[i][j] + (i == j) for j in range(n)]
+                      for i in range(n)]) == []
+    with pytest.raises(ValueError, match="Cartan eigenspace is not one-dimensional"):
+        build(pair)
+
+
 def test_printed_cartan_vectors():
     assert build(make_family(FamilyId("M1", 1, None, 5))).v == (3, -2, 2, -1, 2)
     assert build(make_family(FamilyId("N1", 1, 1, 5))).v == (4, 0, 4, 0, 2)
@@ -90,6 +160,18 @@ def test_lattice_basis_independent():
         m = build(make_family(fid))
         basis = lattice_basis(m)
         assert mat_det([list(col) for col in zip(*basis)]) != 0
+
+
+@pytest.mark.parametrize("v", [(1, 1), (0, 0)])
+def test_lattice_basis_rejects_dependent_basis(v):
+    # g swaps the coordinates, so v = (1, 1) is fixed and (0, 0) spans nothing
+    swap = ((0, 1), (1, 0))
+    m = MonodromySystem(
+        pair=ExponentPair.make([0, F(1, 2)], [F(1, 4), F(3, 4)]),
+        A=swap, B=swap, C=((1, 0), (0, 1)), v=v, rotation_order=2,
+        rotation_generator="A", order_A=2, order_B=2)
+    with pytest.raises(ValueError, match="lattice basis is linearly dependent"):
+        lattice_basis(m)
 
 
 def test_hr_generators_match_root_reflections():

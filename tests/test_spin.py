@@ -90,6 +90,18 @@ def test_word_search_basics():
     assert word_search([s], [[1, 0], [1, 1]], 4) is None
 
 
+def test_word_search_rejects_non_sl2z_input():
+    # the inverses are integer adjugates: generators must lie in SL2(Z)
+    s = [[1, 1], [0, 1]]
+    with pytest.raises(ValueError, match="not an integer"):
+        word_search([[[F(1, 2), 0], [0, 2]]], s, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        word_search([s], [[F(1, 2), 0], [0, 2]], 2)
+    with pytest.raises(ValueError, match="SL2 generators"):
+        word_search([[[2, 0], [0, 1]]], s, 2)
+    assert word_search([[[F(1), F(1)], [F(0), F(1)]]], s, 1) == [(0, 1)]
+
+
 def test_verify_basis_change_all_examples():
     for i in range(1, 7):
         rep = verify_basis_change(i)
