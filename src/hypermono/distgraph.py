@@ -36,24 +36,22 @@ from .levelt import MonodromySystem
 @dataclass(frozen=True)
 class GraphConfig:
     lattice: QuadLattice
-    edge_value: int  # -3 for EvenType, -4 for OddType
     max_depth: int = 5
     node_budget: int = 1_000_000
 
     def __post_init__(self):
-        expected = -3 if self.lattice.parity == EVEN_TYPE else -4
-        if self.edge_value != expected:
-            raise ValueError(
-                f"edge value {self.edge_value} does not match parity "
-                f"{self.lattice.parity}")
         if self.max_depth < 1 or self.node_budget < 1:
             raise ValueError("max_depth and node_budget must be positive")
+
+    @property
+    def edge_value(self) -> int:
+        """(u, w) on an edge: -3 for EvenType, -4 for OddType."""
+        return -3 if self.lattice.parity == EVEN_TYPE else -4
 
 
 def config_for(lattice: QuadLattice, *, max_depth: int = 5,
                node_budget: int = 1_000_000) -> GraphConfig:
-    edge = -3 if lattice.parity == EVEN_TYPE else -4
-    return GraphConfig(lattice, edge, max_depth, node_budget)
+    return GraphConfig(lattice, max_depth, node_budget)
 
 
 def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
@@ -64,8 +62,9 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     b_j of K, w = x0 + sum z_j b_j has (w,w) = -2 exactly when
     (z+o)^t M (z+o) = -2 - (x0*, x0*), where M is the Gram matrix of the b_j,
     o = M^-1 (b_j, x0) and x0* is x0 minus its projection onto K. The
-    integer Fincke-Pohst walk lists exactly these boundary points, taking o
-    through the products (b_j, x0), so nothing is inverted."""
+    integer Fincke-Pohst walk lists exactly these boundary points from the
+    LLL's integral Gram-Schmidt data, taking o through the products
+    M o = (b_j, x0), so nothing is inverted."""
     g = cfg.lattice.gram
     u = list(u)
     if bilinear(g, u, u) != -2:
@@ -75,12 +74,12 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     if x0 is None:
         return []
     red = lll_reduce(kernel, g)
+    gs = red.gram_schmidt
     gx0 = mat_vec(g, x0)
     products = [dot(b, gx0) for b in red.basis]
-    bound = -2 - red.gram_schmidt.orthogonal_norm(products, dot(x0, gx0))
+    bound = -2 - gs.orthogonal_norm(products, dot(x0, gx0))
     out = []
-    for z in enumerate_short_vectors(red.gram, bound, boundary=True,
-                                     g_offset=products):
+    for z in enumerate_short_vectors(gs, bound, products):
         w = list(x0)
         for zi, bi in zip(z, red.basis):
             if zi:

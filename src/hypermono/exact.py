@@ -4,9 +4,11 @@ enumeration that the growth probe and the rank-3 checks share.
 
 Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are lists of rows over int or Fraction.
-There is no floating point: the Fincke-Pohst walk in
-enumerate_short_vectors bounds each coordinate with math.isqrt on integers
-scaled from the integral Gram-Schmidt data, so its pruning is exact.
+There is no floating point: enumerate_short_vectors walks the integer
+points on one ellipsoid Q(x + o) = bound of a positive definite integer
+form, taking the form's integral Gram-Schmidt data (as `lll_reduce` returns
+it) and the offset as integer products g * o, and bounds each coordinate
+with math.isqrt on integers, so its pruning is exact.
 """
 
 from __future__ import annotations
@@ -545,11 +547,9 @@ def integral_gram_schmidt(g: Mat) -> GramSchmidt:
 @dataclass(frozen=True)
 class LLLReduction:
     """An LLL-reduced basis: basis[i] = sum_j transform[i][j] * input[j] with
-    transform unimodular, its Gram matrix, and its integral Gram-Schmidt
-    data."""
+    transform unimodular, and its integral Gram-Schmidt data."""
     basis: tuple[tuple[int, ...], ...]
     transform: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
     gram_schmidt: GramSchmidt
 
 
@@ -621,72 +621,48 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
             for j in range(i - 2, -1, -1):
                 reduce(i, j)
             i += 1
-    gram_red = tuple(tuple(dot(bi, gbj) for gbj in gb) for bi in b)
     return LLLReduction(
-        tuple(tuple(v) for v in b), tuple(tuple(r) for r in h), gram_red,
+        tuple(tuple(v) for v in b), tuple(tuple(r) for r in h),
         GramSchmidt(tuple(d), tuple(tuple(lam[i][:i]) for i in range(k))))
 
 
-def enumerate_short_vectors(g: Mat, bound, offset: Vec | None = None, *,
-                            boundary: bool = False,
-                            g_offset: Vec | None = None) -> list[tuple[int, ...]]:
-    """All integer x with (x+offset)^t g (x+offset) <= bound, exactly and
-    sorted; with boundary=True only those with equality.
+def enumerate_short_vectors(gs: GramSchmidt, bound,
+                            products: Vec) -> list[tuple[int, ...]]:
+    """All integer x with Q(x + o) = bound, sorted.
 
-    g is a positive definite rational form; bound and offset are rational.
-    The offset may instead be given as g_offset = g * offset (a caller with
-    the products (b_j, x0) in hand then needs no solve).
+    Q is the positive definite integer form g whose integral Gram-Schmidt
+    data is gs (from `integral_gram_schmidt`, or the `gram_schmidt` of an
+    `lll_reduce` result), the offset o is given by the integer products
+    g * o (so nothing is inverted), and bound is rational.
 
-    Fincke-Pohst (1985) in integers. With the integral Gram-Schmidt data
-    d, lam of g, the form is sum_i T_i^2 / (d_i d_{i+1}) where
-    T_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j + lam_oi is an integer (lam_o
-    is one more row of the recurrence, fed g * offset). Scaled by
-    L = lcm(d_i d_{i+1}), each level bounds |T_i| with math.isqrt of the
-    remaining integer budget: no rounding anywhere, so the walk visits
-    exactly the points of the ellipsoid's projections, and a leaf is on the
-    boundary exactly when its residual budget is 0.
+    Fincke-Pohst (1985) in integers. Q(x + o) = sum_i T_i^2 / (d_i d_{i+1})
+    where T_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j + c_i is an integer (c is
+    one more row of the recurrence, fed g * o). Scaled by L = lcm(d_i d_{i+1})
+    and the bound's denominator, each level bounds |T_i| with math.isqrt of
+    the remaining integer budget: no rounding anywhere, so the walk visits
+    exactly the points of the ellipsoid's projections, and a leaf is kept
+    exactly when its residual budget is 0.
     """
-    n = len(g)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    if offset is not None and g_offset is not None:
-        raise ValueError("give offset or g_offset, not both")
-    # clear the denominators of g (bound scales with it)
-    sg = lcm(*(Fraction(v).denominator for row in g for v in row))
-    gi = [[int(Fraction(v) * sg) for v in row] for row in g]
-    bound *= sg
-    gs = integral_gram_schmidt(gi)
-    if offset is not None:
-        products = mat_vec(gi, [Fraction(v) for v in offset])
-    elif g_offset is not None:
-        products = [Fraction(v) * sg for v in g_offset]
-    else:
-        products = [0] * n
-    # scale the offset's row by s so that it is integral: T_i becomes s T_i
-    s = lcm(*(Fraction(p).denominator for p in products))
-    centre, _ = _gram_schmidt_row(gs.d, gs.lam, [int(p * s) for p in products], 0)
-    d = gs.d
+    d, lam = gs.d, gs.lam
+    n = len(lam)
+    centre, _ = _gram_schmidt_row(d, lam, products, 0)
     big_l = lcm(*(d[i] * d[i + 1] for i in range(n)))
     weight = [bound.denominator * big_l // (d[i] * d[i + 1]) for i in range(n)]
-    step = [s * d[i + 1] for i in range(n)]
-    lam = [[s * v for v in row] for row in gs.lam]
-    budget = bound.numerator * big_l * s * s
+    budget = bound.numerator * big_l
     if n == 0:
-        return [()] if budget == 0 or not boundary else []
+        return [] if budget else [()]
     out: list[tuple[int, ...]] = []
     x = [0] * n
 
     def walk(i: int, rem: int, centre: list[int]):
-        # s T_i = step_i x_i + centre_i, and weight_i (s T_i)^2 <= rem
-        w, a, c = weight[i], step[i], centre[i]
+        # T_i = d_{i+1} x_i + centre_i, and weight_i T_i^2 <= rem
+        w, a, c = weight[i], d[i + 1], centre[i]
         r = isqrt(rem // w)
         if i == 0:
-            if not boundary:
-                for xi in range(-((r + c) // a), (r - c) // a + 1):
-                    x[0] = xi
-                    out.append(tuple(x))
-            elif w * r * r == rem:
+            if w * r * r == rem:
                 for t in ((r, -r) if r else (0,)):
                     if (t - c) % a == 0:
                         x[0] = (t - c) // a

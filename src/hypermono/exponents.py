@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exact import cyclotomic_poly, moebius, poly_mul, poly_trim
 
@@ -305,12 +305,11 @@ def _candidate_ids(n: int):
 
 def match_family(pair: ExponentPair) -> list[FamilyId]:
     """All family ids whose pair equals the input up to scalar shift."""
-    n = pair.n
-    dens = {x.denominator for x in pair.alpha + pair.beta}
-    big_n = lcm(2, *dens)
-    shifted = {scalar_shift(pair, Fraction(t, big_n)) for t in range(big_n)}
+    # every family pair contains the exponent 0 (make_family puts ZERO in
+    # all seven), so a shift onto one moves some input exponent to 0
+    shifted = {scalar_shift(pair, -x) for x in set(pair.alpha + pair.beta)}
     out = []
-    for fid in _candidate_ids(n):
+    for fid in _candidate_ids(pair.n):
         try:
             # the validating build runs only on a match
             if make_family(fid, _validate=False) in shifted:

@@ -156,10 +156,6 @@ class DirichletRegion:
     epsilon: float
 
 
-def _lorentz(p, q) -> float:
-    return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
-
-
 def _to_so21(generators, form):
     """Float 3x3 images preserving diag(1,1,-1): 2x2 inputs go through Rho1,
     3x3 inputs are conjugated into the standard frame via an eigenbasis of

@@ -96,6 +96,14 @@ def test_certify_budget_exit_code(capsys):
     assert code == 0 and d["detail"] == "no path within depth 5"
 
 
+@pytest.mark.parametrize("flag", ["--max-depth", "--budget"])
+def test_certify_rejects_nonpositive_limits(capsys, flag):
+    code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
+                                "--n", "5", flag, "0"])
+    assert code == 2
+    assert d["error"] == "max_depth and node_budget must be positive"
+
+
 def test_landau_report(capsys):
     code, d = run_json(capsys, ["landau", "--name", "M2", "--j", "3",
                                 "--n", "5"])

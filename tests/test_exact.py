@@ -197,16 +197,65 @@ def test_signature_congruence_invariant(m, g):
         signature_of_symmetric(sym)
 
 
+def _walk(g, bound, off):
+    """enumerate_short_vectors on the integer form g with a rational offset.
+    With off = N / s, the points with Q_g(x + off) = bound are those with
+    Q_{s g}(x + off) = s bound, and the products (s g) off = g N are
+    integers."""
+    off = [Fraction(v) for v in off]
+    s = lcm(*(v.denominator for v in off))
+    num = [int(v * s) for v in off]
+    gs = integral_gram_schmidt([[s * v for v in row] for row in g])
+    return enumerate_short_vectors(gs, Fraction(bound) * s, mat_vec(g, num))
+
+
+def _below(g, bound, off, box):
+    """(got, inside): inside holds the points of `box` with
+    Q(x + off) <= bound, and got is the union of one boundary walk per value
+    q <= bound that the box attains. Each walk must return only points of
+    value q, and of the box points exactly those of value q."""
+    off = [Fraction(v) for v in off]
+    den = lcm(*(v.denominator for v in off))
+    num = [int(v * den) for v in off]
+
+    def scaled(x):  # den^2 Q(x + off), an integer
+        y = [den * xi + ni for xi, ni in zip(x, num)]
+        return bilinear(g, y, y)
+
+    top = Fraction(bound) * den * den
+    by_value: dict = {}
+    for x in box:
+        v = scaled(x)
+        if v <= top:
+            by_value.setdefault(v, set()).add(x)
+    box = set(box)
+    got = set()
+    for v, pts in by_value.items():
+        shell = _walk(g, Fraction(v, den * den), off)
+        assert all(scaled(x) == v for x in shell)
+        assert {x for x in shell if x in box} == pts
+        got.update(shell)
+    return got, set().union(*by_value.values())
+
+
+def _cube(n, r):
+    return list(itertools.product(range(-r, r + 1), repeat=n))
+
+
 def test_short_vectors_examples():
-    got = set(enumerate_short_vectors([[2, 0], [0, 2]], 2))
+    got, _ = _below([[2, 0], [0, 2]], 2, [0, 0], _cube(2, 2))
     assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert set(enumerate_short_vectors([[2, 0], [0, 2]], 1)) == {(0, 0)}
-    assert len(enumerate_short_vectors([[2, 1], [1, 2]], 2)) == 7
+    assert _below([[2, 0], [0, 2]], 1, [0, 0], _cube(2, 2))[0] == {(0, 0)}
+    assert len(_below([[2, 1], [1, 2]], 2, [0, 0], _cube(2, 2))[0]) == 7
+    gs = integral_gram_schmidt([[2, 0], [0, 2]])
+    assert enumerate_short_vectors(gs, 2, [0, 0]) == [
+        (-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_short_vectors_rejects_indefinite():
+    # the walk runs on the Gram-Schmidt data of a definite form only
     with pytest.raises(ValueError):
-        enumerate_short_vectors([[1, 0], [0, -1]], 4)
+        integral_gram_schmidt([[1, 0], [0, -1]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,7 +271,8 @@ def test_short_vectors_vs_brute_force(seed):
             break
     off = [Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
     bound = Fraction(rng.randint(1, 20))
-    got = set(enumerate_short_vectors(g, bound, off))
+    box = 6
+    got, inside = _below(g, bound, off, _cube(n, box))
     # Q(x + off) <= bound, scaled by den^2 to integers
     den = lcm(*(f.denominator for f in off))
     num = [int(f * den) for f in off]
@@ -236,10 +286,7 @@ def test_short_vectors_vs_brute_force(seed):
 
     for v in got:
         assert scaled_qval(v) <= scaled_bound
-    box = 6
-    for x in itertools.product(range(-box, box + 1), repeat=n):
-        if scaled_qval(x) <= scaled_bound:
-            assert x in got
+    assert got >= inside
 
 
 def _random_definite(rng, n, spread=2):
@@ -270,17 +317,16 @@ def test_short_vectors_boundary_vs_brute_force(seed):
         y = [Fraction(x[i]) + off[i] for i in range(n)]
         return bilinear(g, y, y)
 
-    box = 7
-    inside = [x for x in itertools.product(range(-box, box + 1), repeat=n)
-              if qval(x) <= bound]
-    got = enumerate_short_vectors(g, bound, off)
-    assert set(got) >= set(inside)
+    box = _cube(n, 7)
+    got, inside = _below(g, bound, off, box)
+    assert got >= inside
     assert all(qval(v) <= bound for v in got)
-    on = sorted(x for x in got if qval(x) == bound)
+    on = _walk(g, bound, off)
+    assert on == sorted(set(on))
+    assert all(qval(v) == bound for v in on)
+    assert set(on) >= {x for x in got if qval(x) == bound}
+    assert set(on) & set(box) == {x for x in inside if qval(x) == bound}
     assert target is None or target in on
-    assert enumerate_short_vectors(g, bound, off, boundary=True) == on
-    assert enumerate_short_vectors(g, bound, boundary=True,
-                                   g_offset=mat_vec(g, off)) == on
 
 
 @pytest.mark.parametrize("big", [10 ** 15, 10 ** 15 + 7, 3 * 10 ** 17])
@@ -300,14 +346,11 @@ def test_short_vectors_large_entries_and_denominators(big):
     for target in [(2, -2, 1), (-3, 3, 0), (0, 0, -2)]:
         bound = qval(target)
         box = 6  # Q <= 19 forces x + y = 0, |x| <= 3 and |z + 1| <= 5
-        inside = {x for x in itertools.product(range(-box, box + 1), repeat=3)
-                  if qval(x) <= bound}
+        got, inside = _below(g, bound, off, _cube(3, box))
         on = sorted(x for x in inside if qval(x) == bound)
         assert target in on
-        assert set(enumerate_short_vectors(g, bound, off)) == inside
-        assert enumerate_short_vectors(g, bound, off, boundary=True) == on
-        assert enumerate_short_vectors(g, bound, boundary=True,
-                                       g_offset=mat_vec(g, off)) == on
+        assert got == inside
+        assert _walk(g, bound, off) == on
 
 
 @pytest.mark.parametrize("q", [10 ** 8 + 7, 10 ** 9 + 9])
@@ -325,25 +368,24 @@ def test_short_vectors_large_denominator_offset(q, k):
         y = [Fraction(x[i]) + off[i] for i in range(2)]
         return bilinear(g, y, y)
 
-    inside = sorted((x, y) for x in range(k - 3, k + 4) for y in range(-3, 4)
-                    if qval((x, y)) <= bound)
+    window = [(x, y) for x in range(k - 3, k + 4) for y in range(-3, 4)]
+    got, inside = _below(g, bound, off, window)
+    inside = sorted(inside)
     assert inside == [(k, -1), (k, 0)]
     assert all(qval(v) == bound for v in inside)
-    assert enumerate_short_vectors(g, bound, off) == inside
-    assert enumerate_short_vectors(g, bound, off, boundary=True) == inside
-    assert enumerate_short_vectors(g, bound, boundary=True,
-                                   g_offset=mat_vec(g, off)) == inside
+    assert sorted(got) == inside
+    assert _walk(g, bound, off) == inside
 
 
 def test_short_vectors_rational_form_and_empty_dimension():
-    half = Fraction(1, 2)
-    assert enumerate_short_vectors([[half, 0], [0, half]], 1) == \
-        enumerate_short_vectors([[1, 0], [0, 1]], 2)
-    assert enumerate_short_vectors([], 0) == [()]
-    assert enumerate_short_vectors([], 1, boundary=True) == []
-    assert enumerate_short_vectors([[1]], -1) == []
-    with pytest.raises(ValueError):
-        enumerate_short_vectors([[1]], 1, [0], g_offset=[0])
+    empty = integral_gram_schmidt([])
+    assert enumerate_short_vectors(empty, 0, []) == [()]
+    assert enumerate_short_vectors(empty, 1, []) == []
+    assert enumerate_short_vectors(integral_gram_schmidt([[1]]), -1, [0]) == []
+
+
+def _reduced_gram(red, gram):
+    return [[bilinear(gram, bi, bj) for bj in red.basis] for bi in red.basis]
 
 
 def _check_lll(basis, gram):
@@ -352,10 +394,8 @@ def _check_lll(basis, gram):
     t = [list(r) for r in red.transform]
     assert abs(mat_det(t)) == 1  # unimodular: the same lattice
     assert [list(v) for v in red.basis] == mat_mul(t, basis)
-    assert [list(r) for r in red.gram] == [
-        [bilinear(gram, bi, bj) for bj in red.basis] for bi in red.basis]
     gs = red.gram_schmidt
-    assert gs == integral_gram_schmidt([list(r) for r in red.gram])
+    assert gs == integral_gram_schmidt(_reduced_gram(red, gram))
     d, lam = gs.d, gs.lam
     for i in range(k):
         for j in range(i):
@@ -379,7 +419,8 @@ def test_lll_properties(seed):
             break
     red = _check_lll(basis, gram)
     # the minima stay, and the first vector is no longer than any input
-    assert red.gram[0][0] <= min(bilinear(gram, v, v) for v in basis)
+    assert _reduced_gram(red, gram)[0][0] <= min(
+        bilinear(gram, v, v) for v in basis)
 
 
 def test_lll_on_an_indefinite_ambient_form():
@@ -387,7 +428,7 @@ def test_lll_on_an_indefinite_ambient_form():
     # line, (1, 0, 0) is isotropic
     gram = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
     red = _check_lll([[7, 5, 3], [0, 0, 1]], gram)
-    assert red.gram_schmidt.d[-1] == mat_det([list(r) for r in red.gram])
+    assert red.gram_schmidt.d[-1] == mat_det(_reduced_gram(red, gram))
     with pytest.raises(ValueError):
         lll_reduce([[1, 0, 0]], gram)
 

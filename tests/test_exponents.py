@@ -9,6 +9,8 @@ from hypermono.exponents import (
     ExponentPair,
     FamilyError,
     FamilyId,
+    ZERO,
+    _candidate_ids,
     classify,
     landau_integral,
     make_family,
@@ -91,6 +93,17 @@ def test_match_family_round_trip_contains_input():
     for fid in ALL_VALID_IDS:
         p = make_family(fid)
         assert fid in match_family(p), fid
+
+
+def test_every_family_pair_contains_zero():
+    # match_family tries only the shifts that move an input exponent to 0
+    for n in range(1, 16):
+        for fid in _candidate_ids(n):
+            try:
+                p = make_family(fid, _validate=False)
+            except FamilyError:
+                continue
+            assert ZERO in p.alpha + p.beta, fid
 
 
 def test_match_family_table4_row():

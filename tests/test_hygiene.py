@@ -1,9 +1,11 @@
-"""Every name a hypermono module imports at top level is used in it, and
-the certification modules use no floating point.
+"""Every name a hypermono module imports at top level is used in it, every
+private top-level name it defines is read in it, and the certification
+modules use no floating point.
 
 No linter is a dependency, so this parses each module with `ast`. It fails
 on top-level imports that nothing in the module refers to (`from __future__`
-imports are exempt), and on a float literal, a `float(` call or a
+imports are exempt), on a top-level `_name` (function, class or assignment)
+that the module never loads, and on a float literal, a `float(` call or a
 math.sqrt/floor/ceil in the modules whose results certify something.
 `growth` and `spin` measure and draw, and are exempt. The construction and
 search modules (`levelt`, `lattice`, `distgraph`) work in integers alone and
@@ -77,6 +79,51 @@ def test_detects_unused_import():
            "from math import gcd, lcm\n"
            "x = lcm(2, 3)\n")
     assert unused_imports(src) == ["os (line 2)", "gcd (line 3)"]
+
+
+def dead_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [e.id for t in node.targets for e in ast.walk(t)
+                     if isinstance(e, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [e.id for e in ast.walk(node.target)
+                     if isinstance(e, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in defined.items()
+            if name not in loaded]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_dead_private_name():
+    src = ("def _used():\n"
+           "    return _CONST\n"
+           "def _dead():\n"
+           "    return _used()\n"
+           "class _Gone:\n"
+           "    pass\n"
+           "_CONST, _other = 1, 2\n"
+           "_TABLE: dict = {}\n"
+           "__all__ = []\n"
+           "public = 3\n")
+    assert dead_private_names(src) == [
+        "_dead (line 3)", "_Gone (line 5)", "_other (line 7)",
+        "_TABLE (line 8)"]
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES)
