@@ -8,12 +8,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import distgraph, growth, lattice, levelt, spin
 from .appendix_data import EXAMPLES
 from .exponents import (
     ExponentPair,
-    FamilyError,
     FamilyId,
     classify,
     landau_integral,
@@ -27,10 +27,9 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Invalid input that only the CLI can see; exits 2, as the library's
+    own ValueErrors do."""
 
 
 def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
@@ -61,11 +60,8 @@ def _pair_json(pair: ExponentPair) -> dict:
 def _make_pair(args) -> ExponentPair:
     if args.alpha is None or args.beta is None:
         raise CliError("--alpha and --beta are required")
-    alpha = _parse_rational_list(args.alpha)
-    beta = _parse_rational_list(args.beta)
-    if len(alpha) != len(beta):
-        raise CliError("alpha and beta must have the same length")
-    return ExponentPair.make(alpha, beta)
+    return ExponentPair.make(_parse_rational_list(args.alpha),
+                             _parse_rational_list(args.beta))
 
 
 def _resolve_pair(args) -> ExponentPair:
@@ -81,12 +77,15 @@ def _family_pair(args) -> ExponentPair:
     fid = FamilyId(args.name, j, args.k, args.n)
     try:
         return make_family(fid)
-    except (FamilyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid family parameters {fid}: {exc}")
 
 
-def _classification_json(pair: ExponentPair) -> dict:
-    cls = classify(pair)
+def _report(out: dict, code: int = EXIT_OK) -> tuple[str, int]:
+    return json.dumps(out, indent=2, sort_keys=True) + "\n", code
+
+
+def _classification_json(cls) -> dict:
     return {
         "cyclotomic": cls.cyclotomic,
         "disjoint": cls.disjoint,
@@ -96,35 +95,31 @@ def _classification_json(pair: ExponentPair) -> dict:
     }
 
 
-def cmd_classify(args) -> dict:
+def cmd_classify(args) -> tuple[str, int]:
     pair = _make_pair(args)
     cls = classify(pair)
     if not cls.disjoint:
         raise CliError("alpha and beta are not disjoint")
     out = _pair_json(pair)
-    out.update(_classification_json(pair))
+    out.update(_classification_json(cls))
     out["families"] = [str(f) for f in match_family(pair)]
-    return out
+    return _report(out)
 
 
-def cmd_family(args) -> dict:
+def cmd_family(args) -> tuple[str, int]:
     pair = _family_pair(args)
     out = _pair_json(pair)
-    out.update(_classification_json(pair))
-    return out
+    out.update(_classification_json(classify(pair)))
+    return _report(out)
 
 
 def _build(args) -> levelt.MonodromySystem:
-    pair = _resolve_pair(args)
-    cls = classify(pair)
-    if not (cls.cyclotomic and cls.disjoint):
-        raise CliError("pair must be cyclotomic with disjoint exponents")
-    return levelt.build(pair)
+    return levelt.build(_resolve_pair(args))
 
 
-def cmd_build(args) -> dict:
+def cmd_build(args) -> tuple[str, int]:
     m = _build(args)
-    return {
+    return _report({
         **_pair_json(m.pair),
         "A": _mat(m.A),
         "B": _mat(m.B),
@@ -132,28 +127,24 @@ def cmd_build(args) -> dict:
         "v": _vec(m.v),
         "rotation_generator": m.rotation_generator,
         "rotation_order": m.rotation_order,
-    }
+    })
 
 
-def cmd_gram(args) -> dict:
+def cmd_gram(args) -> tuple[str, int]:
     m = _build(args)
     lat = lattice.invariant_form(m)
     gate = lattice.quotient_gate(lat)
-    return {
+    return _report({
         "gram": _mat(lat.gram),
         "parity": lat.parity,
         "invariant_factors": [int(d) for d in lat.inv_factors],
         "signature": list(lat.signature),
         "gate": {"verdict": gate.verdict, "reason": gate.reason},
-    }
+    })
 
 
-def cmd_certify(args) -> dict:
-    m = _build(args)
-    cls = classify(m.pair)
-    if not cls.hyperbolic:
-        raise CliError("certificates require a hyperbolic pair")
-    rep = distgraph.certify(m, max_depth=args.max_depth,
+def cmd_certify(args) -> tuple[str, int]:
+    rep = distgraph.certify(_build(args), max_depth=args.max_depth,
                             node_budget=args.budget)
     out = {
         "status": rep.status,
@@ -166,12 +157,10 @@ def cmd_certify(args) -> dict:
         ],
         "gate": {"verdict": rep.gate.verdict, "reason": rep.gate.reason},
     }
-    if rep.status == distgraph.NO_PATH_FOUND and "budget" in rep.detail:
-        raise CliError(json.dumps(out), EXIT_BUDGET)
-    return out
+    return _report(out, EXIT_BUDGET if rep.budget_exhausted else EXIT_OK)
 
 
-def cmd_growth(args) -> tuple[str, dict]:
+def cmd_growth(args) -> tuple[str, int]:
     m = _build(args)
     gens = [[list(r) for r in m.A], [list(r) for r in m.B]]
     run = growth.growth_run(gens, args.tmin, args.tmax, args.points,
@@ -181,24 +170,25 @@ def cmd_growth(args) -> tuple[str, dict]:
     for t, c in zip(run.t_grid, run.counts):
         logn = math.log10(c) if c > 0 else ""
         lines.append(f"{t},{c},{math.log10(t)},{logn}")
-    csv = "\n".join(lines) + "\n"
-    return csv, {"slope": run.slope, "residual": run.residual,
-                 "word_limit": run.word_limit, "margin": run.margin}
+    meta = {"slope": run.slope, "residual": run.residual,
+            "word_limit": run.word_limit, "margin": run.margin}
+    lines.append(json.dumps(meta, sort_keys=True))
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_landau(args) -> dict:
+def cmd_landau(args) -> tuple[str, int]:
     pair = _resolve_pair(args)
     form = to_factorial_form(pair)
-    return {
+    return _report({
         **_pair_json(pair),
         "a_list": sorted(form.a_list),
         "b_list": sorted(form.b_list),
         "d": form.d,
         "integral": landau_integral(form),
-    }
+    })
 
 
-def cmd_appendix(args) -> dict:
+def cmd_appendix(args) -> tuple[str, int]:
     if args.example not in EXAMPLES:
         raise CliError("example must be between 1 and 6")
     ex = EXAMPLES[args.example]
@@ -223,7 +213,7 @@ def cmd_appendix(args) -> dict:
         "vertices": [[u, v] for u, v in region.vertices],
         "epsilon": region.epsilon,
     }
-    return out
+    return _report(out)
 
 
 def _add_pair_flags(p):
@@ -235,7 +225,10 @@ def _add_pair_flags(p):
     p.add_argument("--n", type=int)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared: argparse keeps no state
+    between parse_args calls."""
     parser = argparse.ArgumentParser(prog="hypermono")
     parser.add_argument("--output", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -280,40 +273,30 @@ _COMMANDS = {
     "build": cmd_build,
     "gram": cmd_gram,
     "certify": cmd_certify,
+    "growth": cmd_growth,
     "landau": cmd_landau,
     "appendix": cmd_appendix,
 }
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Parse, run one command, write its report; returns the exit code.
+    Every invalid input, the CLI's own or the library's ValueError, exits 2
+    with {"error": message}."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        if args.command == "growth":
-            csv, meta = cmd_growth(args)
-            text = csv + json.dumps(meta, sort_keys=True) + "\n"
-        else:
-            report = _COMMANDS[args.command](args)
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    except CliError as exc:
-        msg = str(exc)
-        try:
-            payload = json.loads(msg)
-        except json.JSONDecodeError:
-            payload = {"error": msg}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return exc.code
-    except (FamilyError, ValueError) as exc:
+        text, code = _COMMANDS[args.command](args)
+    except ValueError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, indent=2) + "\n")
         return EXIT_INVALID
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return EXIT_OK
+    return code
 
 
 def main() -> None:

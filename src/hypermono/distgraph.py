@@ -275,6 +275,7 @@ class CertificateReport:
     gate: QuotientGate
     detail: str
     nodes_expanded: int  # over both target searches
+    budget_exhausted: bool  # NoPathFound because node_budget ran out
 
 
 THIN_CERTIFIED = "ThinCertified"
@@ -319,13 +320,14 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
         detail = ("node budget exhausted before the depth limit"
                   if exhausted else
                   f"no path within depth {max_depth}")
-        return CertificateReport(NO_PATH_FOUND, (), (), gate, detail, expanded)
+        return CertificateReport(NO_PATH_FOUND, (), (), gate, detail, expanded,
+                                 exhausted)
     witness = factorize_path(cfg, result.path)
     status = (THIN_CERTIFIED if gate.verdict == CERTIFIED
               else PATH_FOUND_GATE_INCONCLUSIVE)
     detail = f"path of length {len(result.path) - 1}; {gate.reason}"
     return CertificateReport(status, result.path, witness.pairs, gate, detail,
-                             expanded)
+                             expanded, exhausted)
 
 
 def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:

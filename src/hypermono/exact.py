@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -116,34 +117,6 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def is_cyclotomic_product(p: list[int]) -> dict[int, int] | None:
-    """If monic p = prod Phi_d^{m_d}, return {d: m_d}; else None.
-
-    Trial division by every Phi_d with phi(d) <= deg p, repeated to
-    exhaustion (phi(d) >= sqrt(d/2), so d <= 2*deg^2 suffices).
-    """
-    p = poly_trim(list(p))
-    if not p or p[-1] != 1:
-        raise ValueError("is_cyclotomic_product requires a monic polynomial")
-    deg = len(p) - 1
-    found: dict[int, int] = {}
-    d = 1
-    while d <= 2 * deg * deg + 2:
-        if euler_phi(d) <= len(p) - 1:
-            while len(p) > 1:
-                q = poly_divmod_exact(p, list(cyclotomic_poly(d)))
-                if q is None:
-                    break
-                found[d] = found.get(d, 0) + 1
-                p = q
-        d += 1
-        if len(p) == 1:
-            break
-    if p == [1]:
-        return found
-    return None
-
-
 # ---------------------------------------------------------------------------
 # matrices / vectors
 # ---------------------------------------------------------------------------
@@ -162,11 +135,11 @@ def transpose(m: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -174,7 +147,7 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def dot(u: Vec, v: Vec):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def bilinear(g: Mat, u: Vec, v: Vec):

@@ -7,9 +7,11 @@ Exponents are Fractions in [0,1); pairs are stored sorted. All decisions
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .exact import cyclotomic_poly, moebius, poly_mul, poly_trim
@@ -90,10 +92,10 @@ def classify(pair: ExponentPair) -> Classification:
                   and cyclotomic_structure(b) is not None)
     disjoint = not (set(a) & set(b))
     # signature defect |p - q| = |sum_j (-1)^(j + m_j)|, m_j = #{k : b_k < a_j}
+    # (beta is stored sorted)
     s = 0
     for j, aj in enumerate(a, start=1):
-        mj = sum(1 for bk in b if bk < aj)
-        s += (-1) ** (j + mj)
+        s += (-1) ** (j + bisect_left(b, aj))
     defect = abs(s)
     # c ratio = P(0)/Q(0) = e^{2 pi i (sum a - sum b)}
     diff = sum(a) - sum(b)
@@ -203,7 +205,25 @@ HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
 
-def make_family(fid: FamilyId, *, _validate: bool = True) -> ExponentPair:
+def make_family(fid: FamilyId) -> ExponentPair:
+    """The family's pair, checked cyclotomic, disjoint and hyperbolic."""
+    return _validated(fid, _construct_family(fid))
+
+
+def _validated(fid: FamilyId, pair: ExponentPair) -> ExponentPair:
+    cls = classify(pair)
+    if not cls.cyclotomic:
+        raise FamilyError(f"{fid}: constructed pair is not cyclotomic")
+    if not cls.disjoint:
+        raise FamilyError(f"{fid}: constructed pair is not disjoint")
+    if not cls.hyperbolic:
+        raise FamilyError(f"{fid}: constructed pair is not hyperbolic")
+    return pair
+
+
+def _construct_family(fid: FamilyId) -> ExponentPair:
+    """The family's pair as constructed, before the checks of make_family;
+    raises FamilyError when a parameter constraint fails."""
     fam, j, k, n = fid.family, fid.j, fid.k, fid.n
     if fam.startswith("M"):
         m = {"M1": n, "M2": n - 1, "M3": n - 2}[fam]
@@ -272,16 +292,7 @@ def make_family(fid: FamilyId, *, _validate: bool = True) -> ExponentPair:
     b = _counter_to_sorted(beta)
     if len(a) != n or len(b) != n:
         raise FamilyError(f"{fid}: exponent count {len(a)}/{len(b)} != n")
-    pair = ExponentPair.make(a, b)
-    if _validate:
-        cls = classify(pair)
-        if not cls.cyclotomic:
-            raise FamilyError(f"{fid}: constructed pair is not cyclotomic")
-        if not cls.disjoint:
-            raise FamilyError(f"{fid}: constructed pair is not disjoint")
-        if not cls.hyperbolic:
-            raise FamilyError(f"{fid}: constructed pair is not hyperbolic")
-    return pair
+    return ExponentPair.make(a, b)
 
 
 def _candidate_ids(n: int):
@@ -303,20 +314,32 @@ def _candidate_ids(n: int):
                     yield FamilyId(fam, j, k, n)
 
 
-def match_family(pair: ExponentPair) -> list[FamilyId]:
-    """All family ids whose pair equals the input up to scalar shift."""
-    # every family pair contains the exponent 0 (make_family puts ZERO in
-    # all seven), so a shift onto one moves some input exponent to 0
-    shifted = {scalar_shift(pair, -x) for x in set(pair.alpha + pair.beta)}
-    out = []
-    for fid in _candidate_ids(pair.n):
+@cache
+def _family_table(n: int) -> tuple[tuple[FamilyId, ExponentPair], ...]:
+    """The constructible (unvalidated) family pairs of size n, in
+    _candidate_ids order."""
+    table = []
+    for fid in _candidate_ids(n):
         try:
-            # the validating build runs only on a match
-            if make_family(fid, _validate=False) in shifted:
-                make_family(fid)
-                out.append(fid)
+            table.append((fid, _construct_family(fid)))
         except FamilyError:
             continue
+    return tuple(table)
+
+
+def match_family(pair: ExponentPair) -> list[FamilyId]:
+    """All family ids whose pair equals the input up to scalar shift."""
+    # every family pair contains the exponent 0 (_construct_family puts
+    # ZERO in all seven), so a shift onto one moves some input exponent to 0
+    shifted = {scalar_shift(pair, -x) for x in set(pair.alpha + pair.beta)}
+    out = []
+    for fid, fpair in _family_table(pair.n):
+        if fpair in shifted:  # only a match is validated
+            try:
+                _validated(fid, fpair)
+            except FamilyError:
+                continue
+            out.append(fid)
     return out
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .exact import dot, identity, integral_gram_schmidt, mat_mul, mat_vec
-from .exponents import ExponentPair, classify, cyclotomic_structure, poly_from_structure
+from .exponents import ExponentPair, cyclotomic_structure, poly_from_structure
 
 
 def companion_matrix(poly: list[int]) -> list[list[int]]:
@@ -63,14 +63,14 @@ def _finite_order(struct: dict[int, int]) -> int | None:
 
 
 def build(pair: ExponentPair) -> MonodromySystem:
-    cls = classify(pair)
-    if not cls.cyclotomic:
-        raise ValueError("pair is not cyclotomic; Levelt generators are not integral")
-    if not cls.disjoint:
-        raise ValueError("alpha and beta share an exponent; H(alpha,beta) undefined")
     sa = cyclotomic_structure(pair.alpha)
     sb = cyclotomic_structure(pair.beta)
-    assert sa is not None and sb is not None
+    if sa is None or sb is None:
+        raise ValueError("pair is not cyclotomic; Levelt generators are not integral")
+    # each Phi_d carries every primitive d-th root, so the sides share an
+    # exponent iff they share a cyclotomic factor
+    if sa.keys() & sb.keys():
+        raise ValueError("alpha and beta share an exponent; H(alpha,beta) undefined")
     p = poly_from_structure(sa)
     q = poly_from_structure(sb)
     n = pair.n

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypermono import levelt
+from hypermono import cli, distgraph, exponents, levelt
 from hypermono.cli import run
 
 
@@ -94,6 +94,50 @@ def test_certify_budget_exit_code(capsys):
     code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
                                 "--n", "5", "--budget", "40"])
     assert code == 0 and d["detail"] == "no path within depth 5"
+
+
+def test_certify_budget_report_goes_to_output(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = run(["--output", str(out), "certify", "--name", "M2", "--j", "1",
+                "--n", "5", "--budget", "5"])
+    stdout = capsys.readouterr().out
+    assert code == 3
+    assert out.read_text() == stdout
+    assert json.loads(stdout)["status"] == "NoPathFound"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--alpha", "1/5,1/2", "--beta", "0,1/4"],
+     "pair is not cyclotomic; Levelt generators are not integral"),
+    (["gram", "--alpha", "0,1/3,2/3", "--beta", "0,1/4,3/4"],
+     "alpha and beta share an exponent; H(alpha,beta) undefined"),
+    (["certify", "--alpha", "1/2", "--beta", "0"],
+     "certificate applies to hyperbolic groups only"),
+    (["build", "--alpha", "1/3,1/2", "--beta", "0,1/4,3/4"],
+     "alpha and beta must have the same length"),
+])
+def test_invalid_pair_reports_library_message(capsys, argv, message):
+    code, d = run_json(capsys, argv)
+    assert code == 2
+    assert d == {"error": message}
+
+
+def test_certify_classifies_twice(capsys, monkeypatch):
+    # once in make_family's checks, once in distgraph.certify's guard
+    calls = []
+    original = exponents.classify
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    for mod in (exponents, cli, distgraph, levelt):
+        if getattr(mod, "classify", None) is original:
+            monkeypatch.setattr(mod, "classify", counted)
+    code, _ = run_json(capsys, ["certify", "--name", "N2", "--j", "5",
+                                "--k", "5", "--n", "11"])
+    assert code == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("flag", ["--max-depth", "--budget"])

@@ -222,6 +222,7 @@ def test_certify_charges_both_searches_to_one_budget():
     full = certify(m)
     assert full.status == NO_PATH_FOUND
     assert full.detail == "no path within depth 5"
+    assert not full.budget_exhausted
     first = find_path(config_for(invariant_form(m)), (1, 0, 0, 0, 0),
                       (0, 1, 0, 0, 0))
     assert 0 < first.nodes_expanded < full.nodes_expanded
@@ -231,6 +232,7 @@ def test_certify_charges_both_searches_to_one_budget():
         assert rep.nodes_expanded <= budget, budget
         assert rep.status == NO_PATH_FOUND
         assert rep.detail == "node budget exhausted before the depth limit"
+        assert rep.budget_exhausted
     assert certify(m, node_budget=full.nodes_expanded) == full
 
 

@@ -14,7 +14,6 @@ from hypermono.exact import (
     enumerate_short_vectors,
     euler_phi,
     integral_gram_schmidt,
-    is_cyclotomic_product,
     lll_reduce,
     mat_det,
     mat_inv,
@@ -22,7 +21,6 @@ from hypermono.exact import (
     mat_vec,
     nullspace,
     poly_divmod_exact,
-    poly_mul,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -40,26 +38,6 @@ def test_cyclotomic_poly_divides_zd_minus_1():
         assert len(p) - 1 == euler_phi(d)
         zd = [-1] + [0] * (d - 1) + [1]
         assert poly_divmod_exact(zd, p) is not None
-
-
-def test_is_cyclotomic_product():
-    assert is_cyclotomic_product([1, 1, 1]) == {3: 1}
-    assert is_cyclotomic_product([-1, -1, 1]) is None
-    # (z^5 - 1)/(z - 1) * (z + 1)
-    p = poly_mul([1, 1, 1, 1, 1], [1, 1])
-    assert is_cyclotomic_product(p) == {5: 1, 2: 1}
-
-
-def test_is_cyclotomic_product_closed_under_multiplication():
-    rng = random.Random(1)
-    for _ in range(50):
-        ds = [rng.randint(1, 12) for _ in range(3)]
-        p = [1]
-        for d in ds:
-            p = poly_mul(p, list(cyclotomic_poly(d)))
-        got = is_cyclotomic_product(p)
-        assert got is not None
-        assert sorted(sum(([d] * m for d, m in got.items()), [])) == sorted(ds)
 
 
 def _check_snf(m):

@@ -57,6 +57,29 @@ def test_spin_homomorphism_form_kernel(seed, which):
         assert g in ([[1, 0], [0, 1]], [[-1, 0], [0, -1]])
 
 
+def _rho1_by_conjugation(g):
+    # the defining action S -> g S g^t on the symmetric 2x2 matrices, in the
+    # basis diag(1, -1), [[0, 1], [1, 0]], I where -det is Q1
+    basis = ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+    cols = []
+    for e in basis:
+        s = mat_mul(mat_mul(g, e), transpose(g))
+        cols.append((F(s[0][0] - s[1][1], 2), s[0][1],
+                     F(s[0][0] + s[1][1], 2)))
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_rho1_closed_form_matches_conjugation(seed):
+    rng = random.Random(seed)
+    g = random_sl2(rng)
+    # a rational SL2 element too: conjugate by diag(2, 1)
+    h = mat_mul(mat_mul([[2, 0], [0, 1]], g), [[F(1, 2), 0], [0, 1]])
+    for x in (g, h):
+        assert spin(RHO1, x) == _rho1_by_conjugation(x)
+
+
 def test_spin_rejects_non_sl2():
     with pytest.raises(ValueError):
         spin(RHO2, [[2, 0], [0, 1]])
