@@ -77,8 +77,8 @@ def _family_pair(args) -> ExponentPair:
     fid = FamilyId(args.name, j, args.k, args.n)
     try:
         return make_family(fid)
-    except ValueError as exc:
-        raise CliError(f"invalid family parameters {fid}: {exc}")
+    except ValueError as exc:  # the message already names fid
+        raise CliError(f"invalid family parameters {exc}")
 
 
 def _report(out: dict, code: int = EXIT_OK) -> tuple[str, int]:
@@ -99,7 +99,7 @@ def cmd_classify(args) -> tuple[str, int]:
     pair = _make_pair(args)
     cls = classify(pair)
     if not cls.disjoint:
-        raise CliError("alpha and beta are not disjoint")
+        raise CliError(levelt.SHARED_EXPONENT)
     out = _pair_json(pair)
     out.update(_classification_json(cls))
     out["families"] = [str(f) for f in match_family(pair)]

@@ -62,6 +62,9 @@ def _finite_order(struct: dict[int, int]) -> int | None:
     return lcm(*struct.keys()) if struct else 1
 
 
+SHARED_EXPONENT = "alpha and beta share an exponent; H(alpha,beta) undefined"
+
+
 def build(pair: ExponentPair) -> MonodromySystem:
     sa = cyclotomic_structure(pair.alpha)
     sb = cyclotomic_structure(pair.beta)
@@ -70,7 +73,7 @@ def build(pair: ExponentPair) -> MonodromySystem:
     # each Phi_d carries every primitive d-th root, so the sides share an
     # exponent iff they share a cyclotomic factor
     if sa.keys() & sb.keys():
-        raise ValueError("alpha and beta share an exponent; H(alpha,beta) undefined")
+        raise ValueError(SHARED_EXPONENT)
     p = poly_from_structure(sa)
     q = poly_from_structure(sb)
     n = pair.n

@@ -115,6 +115,14 @@ def test_certify_budget_report_goes_to_output(tmp_path, capsys):
      "certificate applies to hyperbolic groups only"),
     (["build", "--alpha", "1/3,1/2", "--beta", "0,1/4,3/4"],
      "alpha and beta must have the same length"),
+    # classify reports a shared exponent in levelt.build's words
+    (["classify", "--alpha", "0", "--beta", "0"],
+     "alpha and beta share an exponent; H(alpha,beta) undefined"),
+    (["classify", "--alpha", "0,1/3,2/3", "--beta", "0,1/4,3/4"],
+     "alpha and beta share an exponent; H(alpha,beta) undefined"),
+    # the family id is named once
+    (["family", "--name", "N1", "--j", "1", "--k", "3", "--n", "5"],
+     "invalid family parameters N1(1,3,5): k must divide 5"),
 ])
 def test_invalid_pair_reports_library_message(capsys, argv, message):
     code, d = run_json(capsys, argv)

@@ -1,5 +1,13 @@
 import math
+from itertools import chain
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_word_bfs import GROWTH_CASES
+
+from hypermono import growth
+from hypermono.exact import identity, mat_mul
 from hypermono.growth import (
     closure_under_inverse,
     enumerate_ball,
@@ -75,3 +83,48 @@ def test_saturated_word_limit_stabilizes_count():
     a = enumerate_ball([GEN_A, GEN_B], 30, wl).count
     b = enumerate_ball([GEN_A, GEN_B], 30, wl + 2).count
     assert a == b
+
+
+def _flat(mat):
+    return tuple(chain.from_iterable(mat))
+
+
+@st.composite
+def _square_pairs(draw):
+    n = draw(st.integers(1, 4))
+    # entries beyond 2**64 exercise Python's big integers
+    entry = st.integers(-2**70, 2**70) | st.integers(-3, 3)
+    return [draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n)) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_pairs())
+def test_flat_mat_mul_matches_exact(pair):
+    a, b = pair
+    assert growth.mat_mul(_flat(a), _flat(b)) == _flat(mat_mul(a, b))
+
+
+@pytest.mark.parametrize("gens", [g for _, g in GROWTH_CASES],
+                         ids=[name for name, _ in GROWTH_CASES])
+def test_closure_under_inverse_holds_inverses(gens):
+    closed = closure_under_inverse(gens)
+    ident = identity(len(gens[0]))
+    for g in gens:
+        assert any(mat_mul(g, h) == ident for h in closed)
+
+
+@pytest.mark.parametrize("gen", [[[2, 0], [0, 1]], [[1, 2], [2, 4]],
+                                 [[1, 0, 0], [0, 1, 0]]])
+def test_growth_rejects_non_unimodular_before_any_product(gen, monkeypatch):
+    monkeypatch.setattr(growth, "mat_mul", None)  # any product would fail
+    for limit in (6, None):
+        with pytest.raises(ValueError, match="growth generators must be "
+                           "unimodular integer matrices"):
+            growth_run([GEN_A, gen], 3, 30, 5, limit)
+
+
+def test_growth_rejects_generators_of_two_sizes(monkeypatch):
+    monkeypatch.setattr(growth, "mat_mul", None)
+    with pytest.raises(ValueError, match="must all have the same size"):
+        growth_run([GEN_A, identity(3)], 3, 30, 5, 6)

@@ -8,8 +8,8 @@ imports are exempt), on a top-level `_name` (function, class or assignment)
 that the module never loads, and on a float literal, a `float(` call or a
 math.sqrt/floor/ceil in the modules whose results certify something.
 `growth` and `spin` measure and draw, and are exempt. The construction and
-search modules (`levelt`, `lattice`, `distgraph`) work in integers alone and
-must not name `Fraction`.
+search modules (`levelt`, `lattice`, `distgraph`) and the growth enumeration
+work in integers alone and must not name `Fraction`.
 
 It also checks that every function the benchmark tracer wraps by name
 (`SPANNED` in bench/tracing.py) still exists, since `--trace 1` looks each
@@ -28,7 +28,7 @@ MODULES = sorted(SRC.glob("*.py"))
 EXACT_MODULES = ("exact.py", "lattice.py", "levelt.py", "distgraph.py",
                  "exponents.py")
 FLOAT_MATH = {"sqrt", "floor", "ceil"}
-INTEGER_MODULES = ("levelt.py", "lattice.py", "distgraph.py")
+INTEGER_MODULES = ("levelt.py", "lattice.py", "distgraph.py", "growth.py")
 
 
 def unused_imports(source: str) -> list[str]:

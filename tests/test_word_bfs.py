@@ -327,13 +327,14 @@ def test_saturated_growth_run_enumerates_once(monkeypatch):
         streams.append(args)
         return real_bfs(*args, **kwargs)
 
+    real_mul = growth.mat_mul
     monkeypatch.setattr(growth, "word_bfs", counting_bfs)
     for limit in (wl + 2, wl + 3, None):
         calls = [0]
 
         def counted(a, b, calls=calls):
             calls[0] += 1
-            return mat_mul(a, b)
+            return real_mul(a, b)
 
         monkeypatch.setattr(growth, "mat_mul", counted)
         run = growth_run(gens, 3, 30, 5, limit)
