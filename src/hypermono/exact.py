@@ -4,11 +4,13 @@ enumeration that the growth probe and the rank-3 checks share.
 
 Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are lists of rows over int or Fraction.
-There is no floating point: enumerate_short_vectors walks the integer
-points on one ellipsoid Q(x + o) = bound of a positive definite integer
-form, taking the form's integral Gram-Schmidt data (as `lll_reduce` returns
-it) and the offset as integer products g * o, and bounds each coordinate
-with math.isqrt on integers, so its pruning is exact.
+`flat_mat_mul`, the product of the growth and Dirichlet word enumerations,
+takes flat row-major tuples, of ints or of the Dirichlet regions' floats.
+Nothing else here uses floating point: enumerate_short_vectors walks the
+integer points on one ellipsoid Q(x + o) = bound of a positive definite
+integer form, taking the form's integral Gram-Schmidt data (as
+`lll_reduce` returns it) and the offset as integer products g * o, and
+bounds each coordinate with math.isqrt on integers, so its pruning is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -136,6 +138,31 @@ def transpose(m: Mat) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def flatten(m: Mat) -> tuple:
+    """The rows of m as one flat row-major tuple, the format of
+    flat_mat_mul."""
+    return tuple(chain.from_iterable(m))
+
+
+def flat_mat_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two n x n matrices stored as flat row-major tuples, with
+    int or float entries. The 3 x 3 case, that of the rank-3 examples, is
+    unrolled; each of its entries sums its three terms left to right."""
+    if len(a) == 9:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+                a0 * b2 + a1 * b5 + a2 * b8,
+                a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+                a3 * b2 + a4 * b5 + a5 * b8,
+                a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+                a6 * b2 + a7 * b5 + a8 * b8)
+    n = isqrt(len(a))
+    cols = [b[j::n] for j in range(n)]
+    return tuple(sum(map(mul, a[i:i + n], col))
+                 for i in range(0, n * n, n) for col in cols)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:

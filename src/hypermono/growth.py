@@ -6,39 +6,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from . import exact
-from .exact import identity, smith_normal_form, word_bfs
+from .exact import flatten, identity, smith_normal_form, word_bfs
 
 _NOT_UNIMODULAR = "growth generators must be unimodular integer matrices"
 
-
-def _flat(mat) -> tuple:
-    return tuple(chain.from_iterable(mat))
+# the shared flat product, bound here as `mat_mul` and looked up at call
+# time, so that a tracer or a test can replace it for growth alone
+mat_mul = exact.flat_mat_mul
 
 
 def _frob_sq(t) -> int:
     return sum(map(mul, t, t))
-
-
-def mat_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two n x n integer matrices stored as flat row-major
-    tuples; the 3 x 3 case, that of the rank-3 examples, is unrolled."""
-    if len(a) == 9:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
-                a0 * b2 + a1 * b5 + a2 * b8,
-                a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
-                a3 * b2 + a4 * b5 + a5 * b8,
-                a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
-                a6 * b2 + a7 * b5 + a8 * b8)
-    n = math.isqrt(len(a))
-    cols = [b[j::n] for j in range(n)]
-    return tuple(sum(map(mul, a[i:i + n], col))
-                 for i in range(0, n * n, n) for col in cols)
 
 
 def _inverse(g) -> list[list[int]]:
@@ -62,7 +43,7 @@ def closure_under_inverse(generators):
     seen = set()
     for g in generators:
         for h in (g, _inverse(g)):
-            k = _flat(h)
+            k = flatten(h)
             if k not in seen:
                 seen.add(k)
                 out.append([[int(x) for x in r] for r in h])
@@ -91,8 +72,8 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
     prune_sq = (margin * t) ** 2
     # flat row-major tuples, each its own dedupe key; keep runs on every
     # product, so it inlines _frob_sq
-    ball = word_bfs(_flat(identity(len(gens[0]))), [_flat(g) for g in gens],
-                    mat_mul, tuple, depth,
+    ball = word_bfs(flatten(identity(len(gens[0]))),
+                    [flatten(g) for g in gens], mat_mul, tuple, depth,
                     keep=lambda g: sum(map(mul, g, g)) <= prune_sq)
     return ((length, _frob_sq(g)) for length, g in ball)
 

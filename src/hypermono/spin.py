@@ -11,7 +11,15 @@ from itertools import islice
 from operator import itemgetter
 
 from .appendix_data import EXAMPLES
-from .exact import mat_eq, mat_mul, mat_neg, mat_to_int, word_bfs
+from .exact import (
+    flat_mat_mul,
+    flatten,
+    mat_eq,
+    mat_mul,
+    mat_neg,
+    mat_to_int,
+    word_bfs,
+)
 
 F = Fraction
 
@@ -173,14 +181,17 @@ def _to_so21(generators, form):
     return gens
 
 
+_NINES = (9,) * 9  # round each entry of a flat 3 x 3 key to 9 places
+
+
 def _clip(poly, a, b, c):
-    """Sutherland-Hodgman clip of poly by the half-plane a u + b v + c <= 0."""
+    """Sutherland-Hodgman clip of poly by the half-plane a u + b v + c <= 0;
+    poly itself when no vertex lies outside."""
+    f = [a * u + b * v + c for u, v in poly]
+    if all(x <= 0 for x in f):
+        return poly
     out = []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp = a * p[0] + b * p[1] + c
-        fq = a * q[0] + b * q[1] + c
+    for p, q, fp, fq in zip(poly, poly[1:] + poly[:1], f, f[1:] + f[:1]):
         if fp <= 0:
             out.append(p)
         if (fp < 0 < fq) or (fq < 0 < fp):
@@ -195,12 +206,14 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
     """Intersection of the bisector half-planes H(gamma, p0) over all words
     up to word_depth, in the Klein disk where they are Euclidean; bounded
     iff the clipped polygon stays strictly inside the unit circle."""
-    gens = _to_so21(generators, form)
+    import numpy as np
+
+    # flat row-major 9-tuples, multiplied by the shared flat product; each
+    # inverse is numpy's, to keep the bits of every image
     full = []
-    for g in gens:
-        full.append(g)
-        import numpy as np
-        full.append(np.linalg.inv(np.array(g)).tolist())
+    for g in _to_so21(generators, form):
+        full.append(flatten(g))
+        full.append(flatten(np.linalg.inv(np.array(g)).tolist()))
 
     u0, v0 = basepoint
     r2 = u0 * u0 + v0 * v0
@@ -208,26 +221,25 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
         raise ValueError("basepoint must lie in the open unit disk")
     scale = 1.0 / math.sqrt(1.0 - r2)
     p0 = (u0 * scale, v0 * scale, scale)
+    x0, y0, z0 = p0
 
     def key(m):
-        return tuple(round(x, 9) for row in m for x in row)
+        return tuple(map(round, m, _NINES))
 
-    def mul(m, g):
-        return [[sum(m[i][k] * g[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-
-    ident = [[float(i == j) for j in range(3)] for i in range(3)]
+    ident = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     images = []
     stabilized = False
-    words = word_bfs(ident, full, mul, key, word_depth)
-    for _, prod in islice(words, 1, None):  # every element but the identity
-        p = [sum(prod[i][j] * p0[j] for j in range(3)) for i in range(3)]
+    words = word_bfs(ident, full, flat_mat_mul, key, word_depth)
+    for _, m in islice(words, 1, None):  # every element but the identity
+        p = (m[0] * x0 + m[1] * y0 + m[2] * z0,
+             m[3] * x0 + m[4] * y0 + m[5] * z0,
+             m[6] * x0 + m[7] * y0 + m[8] * z0)
         if p[2] < 0:
-            p = [-x for x in p]  # keep to the upper sheet
+            p = tuple(-x for x in p)  # keep to the upper sheet
         if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
             stabilized = True
             continue
-        images.append(tuple(p))
+        images.append(p)
 
     if stabilized:
         if _retried:

@@ -4,15 +4,17 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermono.exact import (
+    LLL_DELTA,
     SNFResult,
     bilinear,
     cyclotomic_poly,
     enumerate_short_vectors,
     euler_phi,
+    flat_mat_mul,
     integral_gram_schmidt,
     lll_reduce,
     mat_det,
@@ -386,6 +388,8 @@ def _check_lll(basis, gram):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
+@example(1617)  # k = 3 and k = 2: the first vector is longer than an input
+@example(2329)
 def test_lll_properties(seed):
     rng = random.Random(seed)
     n = rng.choice([2, 3, 4, 5, 6])
@@ -396,8 +400,10 @@ def test_lll_properties(seed):
         if mat_det(mat_mul(basis, [list(c) for c in zip(*basis)])) != 0:
             break
     red = _check_lll(basis, gram)
-    # the minima stay, and the first vector is no longer than any input
-    assert _reduced_gram(red, gram)[0][0] <= min(
+    # LLL's bound (b1, b1) <= (1 / (delta - 1/4))^(k - 1) (v, v) for every
+    # lattice vector v; the first vector may still be longer than an input
+    alpha = 1 / (LLL_DELTA - Fraction(1, 4))
+    assert _reduced_gram(red, gram)[0][0] <= alpha ** (k - 1) * min(
         bilinear(gram, v, v) for v in basis)
 
 
@@ -426,6 +432,42 @@ def test_gram_schmidt_rejects_asymmetric_and_indefinite():
         integral_gram_schmidt([[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         integral_gram_schmidt([[1, 2], [2, 1]])
+
+
+def _flat(mat):
+    return tuple(itertools.chain.from_iterable(mat))
+
+
+@st.composite
+def _square_pairs(draw):
+    n = draw(st.integers(1, 4))
+    # entries beyond 2**64 exercise Python's big integers
+    entry = st.integers(-2**70, 2**70) | st.integers(-3, 3)
+    return [draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n)) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_pairs())
+def test_flat_mat_mul_matches_exact(pair):
+    a, b = pair
+    assert flat_mat_mul(_flat(a), _flat(b)) == _flat(mat_mul(a, b))
+
+
+# zeros of both signs are drawn often: a product that started its sums at
+# 0, as sum() does, would turn a -0.0 entry into 0.0
+_FLOAT_3X3 = st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e3, 1e3),
+                      min_size=9, max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FLOAT_3X3, _FLOAT_3X3)
+@example([-0.0] * 9, [1.0] * 9)
+def test_flat_mat_mul_floats_sum_left_to_right(a, b):
+    expected = [a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+                for i in (0, 3, 6) for j in range(3)]
+    got = flat_mat_mul(tuple(a), tuple(b))
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_nullspace_and_inverse():

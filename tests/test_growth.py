@@ -1,9 +1,4 @@
-import math
-from itertools import chain
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from test_word_bfs import GROWTH_CASES
 
 from hypermono import growth
@@ -83,26 +78,6 @@ def test_saturated_word_limit_stabilizes_count():
     a = enumerate_ball([GEN_A, GEN_B], 30, wl).count
     b = enumerate_ball([GEN_A, GEN_B], 30, wl + 2).count
     assert a == b
-
-
-def _flat(mat):
-    return tuple(chain.from_iterable(mat))
-
-
-@st.composite
-def _square_pairs(draw):
-    n = draw(st.integers(1, 4))
-    # entries beyond 2**64 exercise Python's big integers
-    entry = st.integers(-2**70, 2**70) | st.integers(-3, 3)
-    return [draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                          min_size=n, max_size=n)) for _ in range(2)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_square_pairs())
-def test_flat_mat_mul_matches_exact(pair):
-    a, b = pair
-    assert growth.mat_mul(_flat(a), _flat(b)) == _flat(mat_mul(a, b))
 
 
 @pytest.mark.parametrize("gens", [g for _, g in GROWTH_CASES],

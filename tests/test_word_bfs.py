@@ -3,7 +3,10 @@ readers built on it, against the hand-written loops they replaced.
 
 The oracles below are those loops as they stood: `enumerate_ball`,
 `growth_run` and `saturated_word_limit` (one enumeration per limit) from
-`growth`, and the word search and Dirichlet image loops from `spin`."""
+`growth`, and the word search, Dirichlet image loop and polygon clip from
+`spin`. The Dirichlet oracle writes each float sum out left to right: from
+CPython 3.12 on, `sum()` of floats is compensated, which would make the
+oracle's arithmetic depend on the interpreter."""
 
 import math
 from fractions import Fraction
@@ -22,7 +25,6 @@ from hypermono.growth import (
 )
 from hypermono.spin import (
     DirichletRegion,
-    _clip,
     _det2,
     _to_so21,
     dirichlet_region,
@@ -149,6 +151,21 @@ def oracle_word_search(generators, target, max_len):
     return None
 
 
+def oracle_clip(poly, a, b, c):
+    out = []
+    k = len(poly)
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        fp = a * p[0] + b * p[1] + c
+        fq = a * q[0] + b * q[1] + c
+        if fp <= 0:
+            out.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
 def oracle_dirichlet(generators, *, form=None, basepoint=(0.0, 0.0),
                      word_depth=6, epsilon=1e-6, _retried=False):
     import numpy as np
@@ -174,15 +191,16 @@ def oracle_dirichlet(generators, *, form=None, basepoint=(0.0, 0.0),
         nxt = []
         for m in frontier:
             for g in full:
-                prod = [[sum(m[i][k] * g[k][j] for k in range(3))
-                         for j in range(3)] for i in range(3)]
+                prod = [[m[i][0] * g[0][j] + m[i][1] * g[1][j]
+                         + m[i][2] * g[2][j] for j in range(3)]
+                        for i in range(3)]
                 k = key(prod)
                 if k in seen:
                     continue
                 seen.add(k)
                 nxt.append(prod)
-                p = [sum(prod[i][j] * p0[j] for j in range(3))
-                     for i in range(3)]
+                p = [prod[i][0] * p0[0] + prod[i][1] * p0[1]
+                     + prod[i][2] * p0[2] for i in range(3)]
                 if p[2] < 0:
                     p = [-x for x in p]
                 if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
@@ -203,7 +221,7 @@ def oracle_dirichlet(generators, *, form=None, basepoint=(0.0, 0.0),
         if abs(a) + abs(b) + abs(c) < 1e-12:
             continue
         half_planes.append((a, b, c))
-        poly = _clip(poly, a, b, c)
+        poly = oracle_clip(poly, a, b, c)
         if not poly:
             break
     lim = (1.0 - epsilon) ** 2
@@ -395,7 +413,9 @@ def test_dirichlet_region_matches_oracle(example):
     else:
         a = [list(r) for r in ex.A]
         gens, form = [mat_mul(a, a), [list(r) for r in ex.B]], ex.f
-    for depth in (1, 8):
-        assert (dirichlet_region(gens, form=form, word_depth=depth)
-                == oracle_dirichlet(gens, form=form, word_depth=depth))
+    # repr, not ==, so that -0.0 and 0.0 differ; depth 6 is the default,
+    # and example 3 (every depth) and 4 (depths 6, 8) nudge the basepoint
+    for depth in (1, 6, 8):
+        assert (repr(dirichlet_region(gens, form=form, word_depth=depth))
+                == repr(oracle_dirichlet(gens, form=form, word_depth=depth)))
 
