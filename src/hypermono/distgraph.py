@@ -14,7 +14,6 @@ from .exact import (
     integer_kernel_and_solution,
     lll_reduce,
     mat_eq,
-    mat_mul,
     mat_vec,
     vec_sub,
 )
@@ -25,9 +24,11 @@ from .lattice import (
     QuadLattice,
     QuotientGate,
     RootVector,
+    coreflection,
     invariant_form,
     quotient_gate,
     reflection,
+    reflection_product,
     root_vector,
 )
 from .levelt import MonodromySystem
@@ -119,7 +120,11 @@ def find_path(cfg: GraphConfig, src, dst, *,
 
     `cache` maps vertices to their neighbor lists; searches on one graph
     that share it expand each vertex once. A cache hit still counts as an
-    expansion, so node_budget and nodes_expanded do not depend on it."""
+    expansion, so node_budget and nodes_expanded do not depend on it.
+
+    Adjacent endpoints are read from (src, dst) alone: the search would
+    expand src once and meet dst among its neighbors, so the result is the
+    same, one node expanded, with no neighbor enumeration."""
     g = [list(r) for r in cfg.lattice.gram]
     cache = {} if cache is None else cache
     src = tuple(src)
@@ -129,6 +134,8 @@ def find_path(cfg: GraphConfig, src, dst, *,
             raise ValueError("path endpoints must have norm -2")
     if src == dst:
         return PathSearch((src,), False, 0)
+    if bilinear(g, list(src), list(dst)) == cfg.edge_value:
+        return PathSearch((src, dst), False, 1)
 
     parents_s: dict = {src: None}
     parents_d: dict = {dst: None}
@@ -193,7 +200,8 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     """For each edge (u,w): the roots u-w and u-2w (even; both norm +2) or
     u-w and u-3w (odd; both norm +4) with r_u r_w = r_{u-w} r_{u-2w} (resp.
     r_{u-w} r_{u-3w}) and r_{u-w}(u) = w, verified exactly, plus the
-    telescoped product identity over the whole path."""
+    telescoped product identity over the whole path. Every product is formed
+    as a rank-two update (`reflection_product`), in O(n^2) per edge."""
     lat = cfg.lattice
     g = [list(r) for r in lat.gram]
     path = [list(p) for p in path]
@@ -211,19 +219,19 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
-        ra, rb = reflection(lat, a), reflection(lat, b)
-        ru = reflection(lat, root_vector(lat, u))
-        rw = reflection(lat, root_vector(lat, w))
-        if not mat_eq(mat_mul(ru, rw), mat_mul(ra, rb)):
+        ru_rw = reflection_product(lat, root_vector(lat, u),
+                                   root_vector(lat, w))
+        if not mat_eq(ru_rw, reflection_product(lat, a, b)):
             raise AssertionError("reflection product identity failed")
-        if mat_vec(ra, u) != w:
+        k = dot(coreflection(lat, a), u)
+        if [x - k * y for x, y in zip(u, a.vec)] != w:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
-        telescoped = mat_mul(telescoped, mat_mul(ra, rb))
+        telescoped = reflection_product(lat, a, b, telescoped)
     if path:
-        r_first = reflection(lat, root_vector(lat, path[0]))
-        r_last = reflection(lat, root_vector(lat, path[-1]))
-        if not mat_eq(mat_mul(r_first, r_last), telescoped):
+        r_first_last = reflection_product(lat, root_vector(lat, path[0]),
+                                          root_vector(lat, path[-1]))
+        if not mat_eq(r_first_last, telescoped):
             raise AssertionError("telescoped product identity failed")
     return FactorizationWitness(tuple(pairs))
 

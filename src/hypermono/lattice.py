@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 from .exact import (
     bilinear,
+    dot,
+    identity,
     mat_eq,
     mat_mul,
     mat_vec,
     signature_of_symmetric,
     smith_normal_form,
-    transpose,
 )
 from .levelt import MonodromySystem, lattice_basis
 
@@ -95,7 +96,8 @@ def invariant_form(m: MonodromySystem) -> QuadLattice:
 
     - g-invariance: g^t G g = G. On the basis, g acts as the companion
       matrix of its characteristic polynomial (Cayley-Hamilton). `build`
-      makes g a companion matrix, so that is g itself; its shape is checked.
+      makes g a companion matrix, so that is g itself; its shape is checked,
+      and `companion_preserves` checks the identity in O(n^2).
     - C-invariance: C b_j = b_j + G[j][0] v for every j, so C is the
       reflection x -> x + (x, v) v, an isometry since G[0][0] = -2.
     - A and B: A C = B, so both lie in <g, C> (g is A or B, C = C^-1).
@@ -116,7 +118,7 @@ def invariant_form(m: MonodromySystem) -> QuadLattice:
     check(c[0] == -2, "(v, v) = -2")
     check(all(g[i][j] == (i == j + 1) for i in range(n) for j in range(n - 1)),
           "basis generator g is a companion matrix")
-    check(mat_eq(mat_mul(mat_mul(transpose(g), gram), g), gram),
+    check(companion_preserves(gram, [row[n - 1] for row in g]),
           "g-invariance g^t G g = G")
     check(all(mat_vec(m.C, b) == [x + row[0] * y for x, y in zip(b, m.v)]
               for b, row in zip(basis, gram)),
@@ -128,6 +130,18 @@ def invariant_form(m: MonodromySystem) -> QuadLattice:
     return lat
 
 
+def companion_preserves(gram, p) -> bool:
+    """g^t G g = G for a symmetric Toeplitz G and the companion matrix g
+    with last column p, in O(n^2). Column i < n-1 of g is e_(i+1), so
+    (g^t G g)[i][j] = G[i+1][j+1] = G[i][j] for i, j < n-1 by the Toeplitz
+    shape; the last row and column leave (G p)[i+1] = G[i][n-1] for
+    i < n-1 and p^t G p = G[n-1][n-1]."""
+    n = len(gram)
+    gp = mat_vec(gram, p)
+    return (all(gp[i + 1] == gram[i][n - 1] for i in range(n - 1))
+            and dot(p, gp) == gram[n - 1][n - 1])
+
+
 def root_vector(l: QuadLattice, vec) -> RootVector:
     v = [int(x) for x in vec]
     k = bilinear([list(r) for r in l.gram], v, v)
@@ -136,20 +150,38 @@ def root_vector(l: QuadLattice, vec) -> RootVector:
     return RootVector(tuple(v), k, is_root)
 
 
-def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:
-    """Matrix of y -> y - 2(r,y)/(r,r) r on the lattice basis (integral)."""
+def coreflection(l: QuadLattice, r: RootVector) -> list[int]:
+    """s = 2 G r / (r, r), integral for a k-root, so that the reflection
+    y -> y - 2(r,y)/(r,r) r is y -> y - (s, y) r, with matrix I - r s^t."""
     if not r.is_root:
         raise ValueError("vector is not a k-root; reflection is not integral")
-    n = l.n
     gv = mat_vec([list(row) for row in l.gram], list(r.vec))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = (1 if i == j else 0) - 2 * gv[j] * r.vec[i] // r.norm
-            row.append(c)
-        out.append(row)
-    return out
+    return [2 * x // r.norm for x in gv]
+
+
+def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:
+    """Matrix of y -> y - 2(r,y)/(r,r) r on the lattice basis (integral)."""
+    s = coreflection(l, r)
+    return [[(i == j) - x * y for j, y in enumerate(s)]
+            for i, x in enumerate(r.vec)]
+
+
+def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
+                       m=None) -> list[list[int]]:
+    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2).
+
+    With r_x = I - x s_x^t (`coreflection`), r_a r_b is the rank-two update
+    I - a s_a^t - r_a(b) s_b^t, so m r_a r_b = m - (m a) s_a^t
+    - (m r_a(b)) s_b^t needs two matrix-vector products and no matrix
+    product."""
+    sa, sb = coreflection(l, a), coreflection(l, b)
+    k = dot(sa, b.vec)
+    rab = [y - k * x for x, y in zip(a.vec, b.vec)]
+    if m is None:
+        m = identity(l.n)
+    ma, mb = mat_vec(m, list(a.vec)), mat_vec(m, rab)
+    return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]
+            for row, p, q in zip(m, ma, mb)]
 
 
 def two_elementary(l: QuadLattice) -> bool:

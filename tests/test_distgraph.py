@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermono.exact import (
     bilinear,
@@ -25,11 +28,23 @@ from hypermono.distgraph import (
     config_for,
     explicit_path_N1_3,
     factorize_path,
+    PathSearch,
     find_path,
     neighbors,
 )
-from hypermono.lattice import EVEN_TYPE, invariant_form, reflection, root_vector
+from hypermono.lattice import (
+    EVEN_TYPE,
+    ODD_TYPE,
+    invariant_form,
+    reflection,
+    reflection_product,
+    root_vector,
+)
 from hypermono.levelt import build, lattice_basis
+
+
+N31_IDS = [FamilyId("N1", 1, 1, 31), FamilyId("M2", 15, None, 31),
+           FamilyId("N2", 1, 1, 31)]
 
 
 def family_lattice(fid):
@@ -217,6 +232,111 @@ def test_find_path_cache_does_not_change_the_search():
         assert plain.path is None and plain.nodes_expanded > 0
 
 
+# The breadth-first search before adjacent endpoints were read from their
+# pairing, kept as an oracle: it expands src even when dst is one edge away.
+
+def oracle_find_path(cfg, src, dst, cache):
+    src, dst = tuple(src), tuple(dst)
+    if src == dst:
+        return PathSearch((src,), False, 0)
+    parents_s, parents_d = {src: None}, {dst: None}
+    frontier_s, frontier_d = [src], [dst]
+    depth_s = depth_d = 0
+    expanded = 0
+    while frontier_s and frontier_d and depth_s + depth_d < cfg.max_depth:
+        forward = len(frontier_s) <= len(frontier_d)
+        if forward:
+            frontier, parents, other = frontier_s, parents_s, parents_d
+        else:
+            frontier, parents, other = frontier_d, parents_d, parents_s
+        new_frontier, meets = [], []
+        for node in frontier:
+            if expanded >= cfg.node_budget:
+                return PathSearch(None, True, expanded)
+            expanded += 1
+            for w in cached_neighbors(cfg, node, cache):
+                if w in parents:
+                    continue
+                parents[w] = node
+                new_frontier.append(w)
+                if w in other:
+                    meets.append(w)
+        if meets:
+            meet = min(meets)
+            left, node = [], meet
+            while node is not None:
+                left.append(node)
+                node = parents_s[node]
+            left.reverse()
+            node = parents_d[meet]
+            while node is not None:
+                left.append(node)
+                node = parents_d[node]
+            return PathSearch(tuple(left), False, expanded)
+        new_frontier.sort()
+        if forward:
+            frontier_s, depth_s = new_frontier, depth_s + 1
+        else:
+            frontier_d, depth_d = new_frontier, depth_d + 1
+    return PathSearch(None, False, expanded)
+
+
+def _signed_basis(n):
+    return [tuple(s * (i == j) for j in range(n))
+            for i in range(n) for s in (1, -1)]
+
+
+def _assert_find_path_matches_oracle(lat, settings):
+    """Every pair of +-e_i endpoints under each (max_depth, node_budget).
+    The cache only holds neighbor lists, which have their own oracle, so
+    one cache serves both searches; it is filled for every endpoint of
+    either sign first, so that a search from -e_i does not negate the list
+    of e_i again."""
+    g = [list(r) for r in lat.gram]
+    ends = _signed_basis(lat.n)
+    cache = {}
+    for end in ends:
+        cache[end] = cached_neighbors(config_for(lat), end, cache)
+    adjacent = 0
+    for depth, budget in settings:
+        cfg = config_for(lat, max_depth=depth, node_budget=budget)
+        for src in ends:
+            for dst in ends:
+                want = oracle_find_path(cfg, src, dst, cache)
+                assert find_path(cfg, src, dst, cache=cache) == want, (
+                    depth, budget, src, dst)
+                if bilinear(g, list(src), list(dst)) == cfg.edge_value:
+                    untouched = {}
+                    assert find_path(cfg, src, dst, cache=untouched) == want
+                    assert want.nodes_expanded == 1 and untouched == {}
+                    adjacent += 1
+    return adjacent
+
+
+def test_find_path_matches_oracle_on_small_families():
+    parities = set()
+    adjacent = 0
+    for fid in [FamilyId("N1", 1, 5, 5), FamilyId("M2", 1, None, 5),
+                FamilyId("N1", 1, 7, 7), FamilyId("N4", 1, 1, 5),
+                FamilyId("N1", 1, 1, 7)]:
+        lat = family_lattice(fid)
+        parities.add(lat.parity)
+        adjacent += _assert_find_path_matches_oracle(
+            lat, [(5, 1_000_000), (5, 1), (1, 1_000_000), (2, 7)])
+    assert parities == {EVEN_TYPE, ODD_TYPE}
+    assert adjacent > 0
+
+
+def test_find_path_matches_oracle_on_n31():
+    # one expansion per search (node_budget=1 is covered on the small
+    # families): a deeper search at n = 31 costs seconds
+    for fid in N31_IDS:
+        lat = family_lattice(fid)
+        assert lat.parity == ODD_TYPE
+        adjacent = _assert_find_path_matches_oracle(lat, [(1, 1_000_000)])
+        assert adjacent > 0, fid
+
+
 def test_certify_charges_both_searches_to_one_budget():
     m = build(make_family(FamilyId("M2", 1, None, 5)))
     full = certify(m)
@@ -340,6 +460,95 @@ def test_lemma_basic_printed_matrices_odd():
     assert ruw == [[0, 1], [1, 0]]
     assert ru3w == [[-4, -1], [15, 4]]
     assert mat_eq(mat_mul(ru, rw), mat_mul(ruw, ru3w))
+
+
+# census lattices of both parities, each with edges at e0
+RANK_TWO_IDS = [FamilyId("N1", 1, 7, 7), FamilyId("N1", 1, 9, 9),
+                FamilyId("N1", 1, 1, 7), FamilyId("N4", 1, 1, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _census_roots(index):
+    """Roots on a census lattice: the basis vectors (norm -2) and the
+    factorization roots u - w, u - mult*w of the edges at u = e0; and the
+    reflections in the basis vectors, to move them around (an integral
+    isometry maps a k-root to a k-root)."""
+    lat = family_lattice(RANK_TWO_IDS[index])
+    n = lat.n
+    mult = 2 if lat.parity == EVEN_TYPE else 3
+    e0 = (1,) + (0,) * (n - 1)
+    vecs = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    edges = neighbors(config_for(lat), e0)
+    assert edges
+    for w in edges:
+        vecs.append(tuple(x - y for x, y in zip(e0, w)))
+        vecs.append(tuple(x - mult * y for x, y in zip(e0, w)))
+    roots = [root_vector(lat, v) for v in vecs]
+    assert all(r.is_root for r in roots)
+    return lat, roots, [reflection(lat, r) for r in roots[:n]]
+
+
+def test_rank_two_census_lattices_have_both_parities():
+    parities = {_census_roots(i)[0].parity for i in range(len(RANK_TWO_IDS))}
+    assert parities == {EVEN_TYPE, ODD_TYPE}
+
+
+@st.composite
+def _census_root_triples(draw):
+    lat, roots, basic = _census_roots(
+        draw(st.integers(0, len(RANK_TWO_IDS) - 1)))
+
+    def root():
+        vec = list(draw(st.sampled_from(roots)).vec)
+        for k in draw(st.lists(st.integers(0, lat.n - 1), max_size=4)):
+            vec = mat_vec(basic[k], vec)
+        return root_vector(lat, vec)
+
+    return lat, root(), root(), root()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_census_root_triples())
+def test_reflection_product_is_the_matrix_product(case):
+    lat, a, b, c = case
+    assert a.is_root and b.is_root and c.is_root
+    ra, rb = reflection(lat, a), reflection(lat, b)
+    assert reflection_product(lat, a, b) == mat_mul(ra, rb)
+    m = reflection(lat, c)
+    assert reflection_product(lat, a, b, m) == mat_mul(m, mat_mul(ra, rb))
+
+
+def _shift_norm(g, u, w):
+    """u + z for a small z orthogonal to w with (u + z, u + z) != -2."""
+    for z in itertools.product((-1, 0, 1), repeat=len(u)):
+        if any(z) and bilinear(g, list(z), list(w)) == 0:
+            moved = [x + y for x, y in zip(u, z)]
+            if bilinear(g, moved, moved) != -2:
+                return moved
+    raise AssertionError("no norm-changing shift found")
+
+
+def test_factorize_path_rejects_mutated_paths():
+    for fid in (FamilyId("N1", 1, 7, 7), FamilyId("N1", 1, 1, 7)):
+        lat = family_lattice(fid)
+        cfg = config_for(lat)
+        g = [list(r) for r in lat.gram]
+        u = [1] + [0] * (lat.n - 1)
+        w = list(neighbors(cfg, u)[0])
+        assert len(factorize_path(cfg, [u, w, u]).pairs) == 2
+        far = next(list(x) for x in _signed_basis(lat.n)
+                   if bilinear(g, u, list(x)) != cfg.edge_value
+                   and bilinear(g, w, list(x)) != cfg.edge_value)
+        for path in ([u, far], [u, w, far]):
+            with pytest.raises(ValueError,
+                               match="consecutive path vertices are not adjacent"):
+                factorize_path(cfg, path)
+        for path in ([_shift_norm(g, u, w), w], [u, _shift_norm(g, w, u)],
+                     [u, w, _shift_norm(g, u, w)]):
+            assert bilinear(g, path[-2], path[-1]) == cfg.edge_value
+            with pytest.raises(AssertionError,
+                               match="factorization roots have the wrong norm"):
+                factorize_path(cfg, path)
 
 
 def test_factorize_path_empty_and_full():

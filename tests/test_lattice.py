@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypermono.exact import (
     bilinear,
     identity,
     mat_eq,
+    mat_inv,
     mat_mul,
     mat_vec,
     nullspace,
@@ -26,6 +29,7 @@ from hypermono.lattice import (
     INCONCLUSIVE,
     ODD_TYPE,
     QuadLattice,
+    companion_preserves,
     invariant_form,
     quotient_gate,
     reflection,
@@ -187,6 +191,91 @@ def test_invariant_form_rejects_tampered_system():
         invariant_form(replace(m, B=m.A))
     with pytest.raises(ValueError, match="companion matrix"):
         invariant_form(replace(m, A=tuple(zip(*m.A)), rotation_generator="A"))
+
+
+def _toeplitz_gram(m):
+    """invariant_form's Gram matrix, G[i][j] = -(g^|i-j| v)_n, unchecked."""
+    c = [-b[m.n - 1] for b in lattice_basis(m)]
+    return [[c[abs(i - j)] for j in range(m.n)] for i in range(m.n)]
+
+
+def _full_g_invariance(g, gram):
+    return mat_eq(mat_mul(mat_mul(transpose(g), gram), g), gram)
+
+
+N31_IDS = [FamilyId("N1", 1, 1, 31), FamilyId("M2", 15, None, 31),
+           FamilyId("N2", 1, 1, 31)]
+
+
+def test_companion_preserves_matches_full_product():
+    # every buildable family instance for odd n <= 15, and the n = 31 trio;
+    # with g as built, with one entry of its last column moved, and with one
+    # diagonal of the Toeplitz G moved
+    verdicts = Counter()
+    ids = [fid for n in range(3, 16, 2) for fid in _candidate_ids(n)]
+    for fid in ids + N31_IDS:
+        try:
+            m = build(make_family(fid))
+        except FamilyError:
+            continue
+        n = m.n
+        g = m.basis_generator()
+        gram = _toeplitz_gram(m)
+        cases = [(g, gram)]
+        for k in sorted({0, n // 2, n - 1}):
+            moved = [list(row) for row in g]
+            moved[k][n - 1] += 1
+            cases.append((moved, gram))
+        shifted = [[x + 2 * (abs(i - j) == n // 2) for j, x in enumerate(row)]
+                   for i, row in enumerate(gram)]
+        cases.append((g, shifted))
+        for gk, gr in cases:
+            want = _full_g_invariance(gk, gr)
+            assert companion_preserves(gr, [row[n - 1] for row in gk]) == want, fid
+            verdicts[want] += 1
+        verdicts["instances"] += 1
+    assert verdicts["instances"] == 354 + 3
+    assert verdicts[True] >= verdicts["instances"] and verdicts[False] > 0
+
+
+def test_companion_preserves_checks_each_condition():
+    # g^t G g = G comes down to n conditions on the last column p of g:
+    # (G p)[k] = G[k-1][n-1] for k = 1..n-1, and p^t G p = G[n-1][n-1].
+    # A step t G^-1 e_k moves (G p)[k] alone and p^t G p by 2 t p_k
+    # + t^2 (G^-1)[k][k]; for k >= 1, t = -2 p_k / (G^-1)[k][k] keeps the
+    # latter, so exactly one condition fails. For k = 0, t = 1 moves
+    # p^t G p alone.
+    for fid in (FamilyId("N4", 1, 7, 9), FamilyId("N3", 1, 8, 9)):
+        m = build(make_family(fid))
+        n = m.n
+        g = m.basis_generator()
+        gram = _toeplitz_gram(m)
+        p = [row[n - 1] for row in g]
+        inv = mat_inv(gram)
+        for k in range(n):
+            w = [row[k] for row in inv]
+            t = F(1) if k == 0 else -2 * p[k] / w[k]
+            assert t != 0, (fid, k)
+            moved = [x + t * y for x, y in zip(p, w)]
+            assert [x - y for x, y in zip(mat_vec(gram, moved),
+                                          mat_vec(gram, p))] == [
+                t * (i == k) for i in range(n)]
+            gk = [row[:n - 1] + [x] for row, x in zip(g, moved)]
+            assert not _full_g_invariance(gk, gram), (fid, k)
+            assert not companion_preserves(gram, moved), (fid, k)
+
+
+def test_invariant_form_rejects_perturbed_generator_column():
+    for fid in [FamilyId("N1", 1, 7, 7), FamilyId("N1", 1, 1, 7),
+                FamilyId("M2", 5, None, 11)] + N31_IDS:
+        m = build(make_family(fid))
+        name = m.rotation_generator or "A"
+        for k in (0, m.n - 1):
+            gen = [list(row) for row in getattr(m, name)]
+            gen[k][m.n - 1] += 1
+            with pytest.raises(ValueError, match=re.escape(
+                    "invariant form check failed: g-invariance g^t G g = G")):
+                invariant_form(replace(m, **{name: tuple(map(tuple, gen))}))
 
 
 def test_parity_odd_type():
