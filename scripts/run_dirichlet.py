@@ -6,9 +6,7 @@ are reported unbounded."""
 
 import argparse
 
-from hypermono.appendix_data import EXAMPLES
-from hypermono.exact import mat_mul
-from hypermono.spin import dirichlet_region
+from hypermono.spin import appendix_dirichlet_region
 
 
 def main():
@@ -19,14 +17,7 @@ def main():
     args = ap.parse_args()
 
     for i in (int(x) for x in args.examples.split(",")):
-        ex = EXAMPLES[i]
-        if ex.isotropic:
-            gens = [[list(r) for r in ex.X], [list(r) for r in ex.Y]]
-            region = dirichlet_region(gens, word_depth=args.depth)
-        else:
-            a2 = mat_mul([list(r) for r in ex.A], [list(r) for r in ex.A])
-            region = dirichlet_region([a2, [list(r) for r in ex.B]],
-                                      form=ex.f, word_depth=args.depth)
+        region = appendix_dirichlet_region(i, args.depth)
         print(f"example {i}: bounded={region.bounded} "
               f"vertices={len(region.vertices)}")
         for u, v in region.vertices:

@@ -21,9 +21,8 @@ def main():
     args = ap.parse_args()
 
     ex = EXAMPLES[6]
-    gens = [[list(map(int, r)) for r in ex.A],
-            [list(map(int, r)) for r in ex.B]]
-    run = growth_run(gens, args.tmin, args.tmax, args.points, args.word_limit)
+    run = growth_run([ex.A, ex.B], args.tmin, args.tmax, args.points,
+                     args.word_limit)
 
     lines = ["T,count,log10T,log10N"]
     import math

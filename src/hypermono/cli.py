@@ -13,6 +13,7 @@ from functools import cache
 from . import distgraph, growth, lattice, levelt, spin
 from .appendix_data import EXAMPLES
 from .exponents import (
+    FAMILIES,
     ExponentPair,
     FamilyId,
     classify,
@@ -138,7 +139,7 @@ def cmd_gram(args) -> tuple[str, int]:
         "gram": _mat(lat.gram),
         "parity": lat.parity,
         "invariant_factors": [int(d) for d in lat.inv_factors],
-        "signature": list(lat.signature),
+        "signature": lat.signature,
         "gate": {"verdict": gate.verdict, "reason": gate.reason},
     })
 
@@ -162,8 +163,7 @@ def cmd_certify(args) -> tuple[str, int]:
 
 def cmd_growth(args) -> tuple[str, int]:
     m = _build(args)
-    gens = [[list(r) for r in m.A], [list(r) for r in m.B]]
-    run = growth.growth_run(gens, args.tmin, args.tmax, args.points,
+    run = growth.growth_run([m.A, m.B], args.tmin, args.tmax, args.points,
                             args.word_limit, margin=args.margin)
     import math
     lines = ["T,count,log10T,log10N"]
@@ -200,14 +200,7 @@ def cmd_appendix(args) -> tuple[str, int]:
         "isotropic": ex.isotropic,
         "checks": [{"name": name, "passed": ok} for name, ok in rep.checks],
     }
-    if ex.isotropic:
-        gens = [[list(r) for r in ex.X], [list(r) for r in ex.Y]]
-        region = spin.dirichlet_region(gens, word_depth=args.depth)
-    else:
-        from .exact import mat_mul
-        a2 = mat_mul([list(r) for r in ex.A], [list(r) for r in ex.A])
-        region = spin.dirichlet_region([a2, [list(r) for r in ex.B]],
-                                       form=ex.f, word_depth=args.depth)
+    region = spin.appendix_dirichlet_region(args.example, args.depth)
     out["dirichlet"] = {
         "bounded": region.bounded,
         "vertices": [[u, v] for u, v in region.vertices],
@@ -219,7 +212,7 @@ def cmd_appendix(args) -> tuple[str, int]:
 def _add_pair_flags(p):
     p.add_argument("--alpha", help="comma-separated rationals p/q")
     p.add_argument("--beta", help="comma-separated rationals p/q")
-    p.add_argument("--name", choices=["M1", "M2", "M3", "N1", "N2", "N3", "N4"])
+    p.add_argument("--name", choices=FAMILIES)
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
@@ -238,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
 
     p = sub.add_parser("family")
-    p.add_argument("--name", required=True,
-                   choices=["M1", "M2", "M3", "N1", "N2", "N3", "N4"])
+    p.add_argument("--name", required=True, choices=FAMILIES)
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, required=True)

@@ -67,10 +67,9 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     LLL's integral Gram-Schmidt data, taking o through the products
     M o = (b_j, x0), so nothing is inverted."""
     g = cfg.lattice.gram
-    u = list(u)
-    if bilinear(g, u, u) != -2:
-        raise ValueError("neighbor enumeration requires a norm -2 vertex")
     row = mat_vec(g, u)
+    if dot(u, row) != -2:
+        raise ValueError("neighbor enumeration requires a norm -2 vertex")
     x0, kernel = integer_kernel_and_solution(row, cfg.edge_value)
     if x0 is None:
         return []
@@ -81,7 +80,7 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     bound = -2 - gs.orthogonal_norm(products, dot(x0, gx0))
     out = []
     for z in enumerate_short_vectors(gs, bound, products):
-        w = list(x0)
+        w = x0
         for zi, bi in zip(z, red.basis):
             if zi:
                 w = [x + zi * y for x, y in zip(w, bi)]
@@ -125,16 +124,16 @@ def find_path(cfg: GraphConfig, src, dst, *,
     Adjacent endpoints are read from (src, dst) alone: the search would
     expand src once and meet dst among its neighbors, so the result is the
     same, one node expanded, with no neighbor enumeration."""
-    g = [list(r) for r in cfg.lattice.gram]
+    g = cfg.lattice.gram
     cache = {} if cache is None else cache
     src = tuple(src)
     dst = tuple(dst)
     for end in (src, dst):
-        if bilinear(g, list(end), list(end)) != -2:
+        if bilinear(g, end, end) != -2:
             raise ValueError("path endpoints must have norm -2")
     if src == dst:
         return PathSearch((src,), False, 0)
-    if bilinear(g, list(src), list(dst)) == cfg.edge_value:
+    if bilinear(g, src, dst) == cfg.edge_value:
         return PathSearch((src, dst), False, 1)
 
     parents_s: dict = {src: None}
@@ -203,14 +202,15 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     telescoped product identity over the whole path. Every product is formed
     as a rank-two update (`reflection_product`), in O(n^2) per edge."""
     lat = cfg.lattice
-    g = [list(r) for r in lat.gram]
-    path = [list(p) for p in path]
+    # the vertices as integer tuples, the type of every RootVector.vec
+    roots = [root_vector(lat, p) for p in path]
     mult = 2 if lat.parity == EVEN_TYPE else 3
     root_norm = 2 if lat.parity == EVEN_TYPE else 4
     pairs = []
     telescoped = identity(lat.n)
-    for u, w in zip(path, path[1:]):
-        if bilinear(g, u, w) != cfg.edge_value:
+    for ru, rw in zip(roots, roots[1:]):
+        u, w = ru.vec, rw.vec
+        if bilinear(lat.gram, u, w) != cfg.edge_value:
             raise ValueError("consecutive path vertices are not adjacent")
         a = root_vector(lat, vec_sub(u, w))
         bvec = vec_sub(u, [mult * x for x in w])
@@ -219,18 +219,16 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
-        ru_rw = reflection_product(lat, root_vector(lat, u),
-                                   root_vector(lat, w))
-        if not mat_eq(ru_rw, reflection_product(lat, a, b)):
+        if not mat_eq(reflection_product(lat, ru, rw),
+                      reflection_product(lat, a, b)):
             raise AssertionError("reflection product identity failed")
         k = dot(coreflection(lat, a), u)
-        if [x - k * y for x, y in zip(u, a.vec)] != w:
+        if tuple(x - k * y for x, y in zip(u, a.vec)) != w:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
         telescoped = reflection_product(lat, a, b, telescoped)
-    if path:
-        r_first_last = reflection_product(lat, root_vector(lat, path[0]),
-                                          root_vector(lat, path[-1]))
+    if roots:
+        r_first_last = reflection_product(lat, roots[0], roots[-1])
         if not mat_eq(r_first_last, telescoped):
             raise AssertionError("telescoped product identity failed")
     return FactorizationWitness(tuple(pairs))
@@ -262,7 +260,7 @@ def explicit_path_N1_3(n: int) -> list[list[int]]:
     w = list(u)
     w[through] += 1
     lat = invariant_form(build(make_family(FamilyId("N1", 3, n, n))))
-    g = [list(r) for r in lat.gram]
+    g = lat.gram
     if bilinear(g, u, u) != 2:
         raise AssertionError("auxiliary vector does not have norm +2")
     if bilinear(g, w, w) != -2:
@@ -307,7 +305,7 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
     # r_w = r_{-w}, so either sheet of the target certifies; try the one
     # pairing negatively with v first
     targets = [gv, tuple(-x for x in gv)]
-    if bilinear([list(r) for r in lat.gram], list(src), list(gv)) > 0:
+    if lat.gram[0][1] > 0:  # (v, g.v)
         targets.reverse()
     cache: dict = {}
     expanded = 0
@@ -342,6 +340,6 @@ def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:
     """The reflections r_{u - u_j} over the immediate neighbors u_j of u."""
     out = []
     for w in neighbors(cfg, u):
-        r = root_vector(cfg.lattice, vec_sub(list(u), list(w)))
+        r = root_vector(cfg.lattice, vec_sub(u, w))
         out.append(reflection(cfg.lattice, r))
     return out

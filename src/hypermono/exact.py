@@ -3,7 +3,11 @@ form, integral LLL, short-vector enumeration, and the breadth-first word
 enumeration that the growth probe and the rank-3 checks share.
 
 Everything here is arbitrary precision: polynomials are lists of ints
-(ascending degree), matrices are lists of rows over int or Fraction.
+(ascending degree), matrices are sequences of rows over int or Fraction and
+vectors sequences of entries, lists or the tuples that the frozen
+dataclasses store, read in place. An input is copied only to be worked on:
+the basis by `lll_reduce`, the matrix by `smith_normal_form`, and a Fraction
+copy by each rational elimination (`mat_inv`, `mat_det`, `nullspace`).
 `flat_mat_mul`, the product of the growth and Dirichlet word enumerations,
 takes flat row-major tuples, of ints or of the Dirichlet regions' floats.
 Nothing else here uses floating point: enumerate_short_vectors walks the
@@ -15,6 +19,7 @@ bounds each coordinate with math.isqrt on integers, so its pruning is exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -123,8 +128,8 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 # matrices / vectors
 # ---------------------------------------------------------------------------
 
-Vec = list  # list of int | Fraction
-Mat = list  # list of rows
+Vec = Sequence  # of int | Fraction
+Mat = Sequence  # of rows
 
 
 def identity(n: int) -> Mat:
@@ -381,17 +386,17 @@ def smith_normal_form(m: Mat) -> SNFResult:
             # clear the edging; restart if a remainder creates a smaller pivot
             dirty = False
             for i in range(s + 1, rows):
-                if a[i][s] % a[s][s] != 0:
-                    row_op(i, s, a[i][s] // a[s][s])
+                q, r = divmod(a[i][s], a[s][s])
+                if q:
+                    row_op(i, s, q)
+                if r:
                     dirty = True
-                elif a[i][s] != 0:
-                    row_op(i, s, a[i][s] // a[s][s])
             for j in range(s + 1, cols):
-                if a[s][j] % a[s][s] != 0:
-                    col_op(j, s, a[s][j] // a[s][s])
+                q, r = divmod(a[s][j], a[s][s])
+                if q:
+                    col_op(j, s, q)
+                if r:
                     dirty = True
-                elif a[s][j] != 0:
-                    col_op(j, s, a[s][j] // a[s][s])
             if dirty:
                 continue
             # pivot must divide the remaining block
@@ -426,11 +431,10 @@ def integer_kernel_and_solution(row: list[int], target: int):
     n = len(row)
     if all(x == 0 for x in row):
         x0 = [0] * n if target == 0 else None
-        return x0, [list(r) for r in identity(n)]
+        return x0, identity(n)
     snf = smith_normal_form([row])
     d = snf.diagonal[0]
-    right = [list(r) for r in snf.right]  # columns of right: right[r][c]
-    cols = [[right[r][c] for r in range(n)] for c in range(n)]
+    cols = transpose(snf.right)
     sign = snf.left[0][0]  # +-1
     if target * sign % d != 0:
         x0 = None

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import (
-    bilinear,
     dot,
     identity,
     mat_eq,
@@ -144,8 +143,8 @@ def companion_preserves(gram, p) -> bool:
 
 def root_vector(l: QuadLattice, vec) -> RootVector:
     v = [int(x) for x in vec]
-    k = bilinear([list(r) for r in l.gram], v, v)
-    gv = mat_vec([list(r) for r in l.gram], v)
+    gv = mat_vec(l.gram, v)
+    k = dot(v, gv)
     is_root = k != 0 and all((2 * x) % k == 0 for x in gv)
     return RootVector(tuple(v), k, is_root)
 
@@ -155,7 +154,7 @@ def coreflection(l: QuadLattice, r: RootVector) -> list[int]:
     y -> y - 2(r,y)/(r,r) r is y -> y - (s, y) r, with matrix I - r s^t."""
     if not r.is_root:
         raise ValueError("vector is not a k-root; reflection is not integral")
-    gv = mat_vec([list(row) for row in l.gram], list(r.vec))
+    gv = mat_vec(l.gram, r.vec)
     return [2 * x // r.norm for x in gv]
 
 
@@ -179,7 +178,7 @@ def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
     rab = [y - k * x for x, y in zip(a.vec, b.vec)]
     if m is None:
         m = identity(l.n)
-    ma, mb = mat_vec(m, list(a.vec)), mat_vec(m, rab)
+    ma, mb = mat_vec(m, a.vec), mat_vec(m, rab)
     return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]
             for row, p, q in zip(m, ma, mb)]
 

@@ -40,18 +40,15 @@ class MonodromySystem:
         return len(self.v)
 
     def rotation_matrix(self) -> list[list[int]]:
-        if self.rotation_generator == "A":
-            return [list(r) for r in self.A]
-        if self.rotation_generator == "B":
-            return [list(r) for r in self.B]
-        raise ValueError("no finite-order generator available")
+        if self.rotation_generator is None:
+            raise ValueError("no finite-order generator available")
+        return self.basis_generator()
 
     def basis_generator(self) -> list[list[int]]:
         """Generator whose powers of v span the lattice: the finite-order
         one when available, else A (both infinite-order works too)."""
-        if self.rotation_generator is not None:
-            return self.rotation_matrix()
-        return [list(r) for r in self.A]
+        g = self.B if self.rotation_generator == "B" else self.A
+        return [list(r) for r in g]
 
 
 def _finite_order(struct: dict[int, int]) -> int | None:
@@ -142,7 +139,7 @@ def hr_generators(m: MonodromySystem, count: int) -> list[list[list[int]]]:
     gi = identity(m.n)
     gii = identity(m.n)
     for _ in range(count):
-        conj = mat_mul(mat_mul(gi, [list(r) for r in m.C]), gii)
+        conj = mat_mul(mat_mul(gi, m.C), gii)
         out.append([[-x for x in row] for row in conj])
         gi = mat_mul(gi, g)
         gii = mat_mul(ginv, gii)

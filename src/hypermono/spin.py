@@ -18,6 +18,7 @@ from .exact import (
     mat_mul,
     mat_neg,
     mat_to_int,
+    transpose,
     word_bfs,
 )
 
@@ -115,12 +116,10 @@ def verify_basis_change(example_id: int) -> BasisChangeReport:
     if not ex.isotropic:
         return BasisChangeReport(example_id, False,
                                  (("anisotropic form, no basis change", True),))
-    f = [list(r) for r in ex.f]
-    m = [list(r) for r in ex.M]
-    mt = [[m[j][i] for j in range(3)] for i in range(3)]
+    m = ex.M
     lhs = [[ex.form_scalar * x for x in row]
-           for row in mat_mul(mat_mul(mt, f), m)]
-    checks = [("scalar * M^t f M = Q", mat_eq(lhs, [list(r) for r in ex.target_form]))]
+           for row in mat_mul(mat_mul(transpose(m), ex.f), m)]
+    checks = [("scalar * M^t f M = Q", mat_eq(lhs, ex.target_form))]
     # Q is nondegenerate, so the first check makes M invertible, and
     # M^-1 X M = X' is X M = M X'
     for name, x, x_prime in (("M^-1 A^2 M = A'", mat_mul(ex.A, ex.A), ex.A_prime),
@@ -129,9 +128,9 @@ def verify_basis_change(example_id: int) -> BasisChangeReport:
     def matches(img, target) -> bool:
         # projective kernel, and the standard-form images are also quoted in
         # the row-vector (transposed) convention
-        t = [list(r) for r in target]
-        tt = [[t[j][i] for j in range(3)] for i in range(3)]
-        return any(mat_eq(img, c) for c in (t, mat_neg(t), tt, mat_neg(tt)))
+        tt = transpose(target)
+        return any(mat_eq(img, c)
+                   for c in (target, mat_neg(target), tt, mat_neg(tt)))
 
     sx = spin(ex.spin_which, ex.X)
     sy = spin(ex.spin_which, ex.Y)
@@ -201,11 +200,12 @@ def _clip(poly, a, b, c):
 
 
 def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
-                     word_depth: int = 6, epsilon: float = 1e-6,
-                     _retried: bool = False) -> DirichletRegion:
+                     word_depth: int = 6,
+                     epsilon: float = 1e-6) -> DirichletRegion:
     """Intersection of the bisector half-planes H(gamma, p0) over all words
     up to word_depth, in the Klein disk where they are Euclidean; bounded
-    iff the clipped polygon stays strictly inside the unit circle."""
+    iff the clipped polygon stays strictly inside the unit circle. A
+    basepoint fixed by some word is moved once, by (0.1234, 0.0567)."""
     import numpy as np
 
     # flat row-major 9-tuples, multiplied by the shared flat product; each
@@ -215,39 +215,34 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
         full.append(flatten(g))
         full.append(flatten(np.linalg.inv(np.array(g)).tolist()))
 
-    u0, v0 = basepoint
-    r2 = u0 * u0 + v0 * v0
-    if r2 >= 1:
-        raise ValueError("basepoint must lie in the open unit disk")
-    scale = 1.0 / math.sqrt(1.0 - r2)
-    p0 = (u0 * scale, v0 * scale, scale)
-    x0, y0, z0 = p0
-
     def key(m):
         return tuple(map(round, m, _NINES))
 
     ident = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    images = []
-    stabilized = False
-    words = word_bfs(ident, full, flat_mat_mul, key, word_depth)
-    for _, m in islice(words, 1, None):  # every element but the identity
-        p = (m[0] * x0 + m[1] * y0 + m[2] * z0,
-             m[3] * x0 + m[4] * y0 + m[5] * z0,
-             m[6] * x0 + m[7] * y0 + m[8] * z0)
-        if p[2] < 0:
-            p = tuple(-x for x in p)  # keep to the upper sheet
-        if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
-            stabilized = True
-            continue
-        images.append(p)
-
-    if stabilized:
-        if _retried:
-            raise ValueError("basepoint is stabilized even after perturbation")
-        nudged = (u0 + 0.1234, v0 + 0.0567)
-        return dirichlet_region(generators, form=form, basepoint=nudged,
-                                word_depth=word_depth, epsilon=epsilon,
-                                _retried=True)
+    u0, v0 = basepoint
+    for u0, v0 in ((u0, v0), (u0 + 0.1234, v0 + 0.0567)):
+        r2 = u0 * u0 + v0 * v0
+        if r2 >= 1:
+            raise ValueError("basepoint must lie in the open unit disk")
+        scale = 1.0 / math.sqrt(1.0 - r2)
+        p0 = (u0 * scale, v0 * scale, scale)
+        x0, y0, z0 = p0
+        images = []
+        words = word_bfs(ident, full, flat_mat_mul, key, word_depth)
+        for _, m in islice(words, 1, None):  # every element but the identity
+            p = (m[0] * x0 + m[1] * y0 + m[2] * z0,
+                 m[3] * x0 + m[4] * y0 + m[5] * z0,
+                 m[6] * x0 + m[7] * y0 + m[8] * z0)
+            if p[2] < 0:
+                p = tuple(-x for x in p)  # keep to the upper sheet
+            if max(abs(p[i] - p0[i]) for i in range(3)) < 1e-9:
+                images = None  # p0 is stabilized
+                break
+            images.append(p)
+        if images is not None:
+            break
+    else:
+        raise ValueError("basepoint is stabilized even after perturbation")
 
     half_planes = []
     poly = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
@@ -265,3 +260,15 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
     bounded = bool(poly) and all(u * u + v * v <= lim for u, v in poly)
     return DirichletRegion((u0, v0), tuple(half_planes),
                            tuple((u, v) for u, v in poly), bounded, epsilon)
+
+
+def appendix_dirichlet_region(example_id: int,
+                              word_depth: int) -> DirichletRegion:
+    """Dirichlet region of one rank-3 example: of the spin preimages X, Y
+    for an isotropic example, of A^2 and B with their invariant form f for
+    an anisotropic one."""
+    ex = EXAMPLES[example_id]
+    if ex.isotropic:
+        return dirichlet_region([ex.X, ex.Y], word_depth=word_depth)
+    return dirichlet_region([mat_mul(ex.A, ex.A), ex.B], form=ex.f,
+                            word_depth=word_depth)

@@ -15,6 +15,7 @@ from hypermono.exact import (
     enumerate_short_vectors,
     euler_phi,
     flat_mat_mul,
+    identity,
     integral_gram_schmidt,
     lll_reduce,
     mat_det,
@@ -75,6 +76,100 @@ def test_snf_random(m):
     for d in res.diagonal:
         prod *= d
     assert prod == abs(det)
+
+
+def oracle_smith_normal_form(m):
+    """smith_normal_form with its two edge-clearing branches apart, as it
+    was written before they were merged."""
+    a = [[int(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    left = identity(rows)
+    right = identity(cols)
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
+
+    def col_op(i, j, q):
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            right[r][i] -= q * right[r][j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def col_swap(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            right[r][i], right[r][j] = right[r][j], right[r][i]
+
+    s = 0
+    while s < min(rows, cols):
+        if all(a[i][j] == 0 for i in range(s, rows) for j in range(s, cols)):
+            break
+        while True:
+            best = None
+            for i in range(s, rows):
+                for j in range(s, cols):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
+                        best = (abs(a[i][j]), i, j)
+            _, bi, bj = best
+            if bi != s:
+                row_swap(s, bi)
+            if bj != s:
+                col_swap(s, bj)
+            dirty = False
+            for i in range(s + 1, rows):
+                if a[i][s] % a[s][s] != 0:
+                    row_op(i, s, a[i][s] // a[s][s])
+                    dirty = True
+                elif a[i][s] != 0:
+                    row_op(i, s, a[i][s] // a[s][s])
+            for j in range(s + 1, cols):
+                if a[s][j] % a[s][s] != 0:
+                    col_op(j, s, a[s][j] // a[s][s])
+                    dirty = True
+                elif a[s][j] != 0:
+                    col_op(j, s, a[s][j] // a[s][s])
+            if dirty:
+                continue
+            witness = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if a[i][j] % a[s][s] != 0:
+                        witness = i
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            row_op(s, witness, -1)
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            left[s] = [-x for x in left[s]]
+        s += 1
+
+    diag = [a[i][i] if i < cols else 0 for i in range(min(rows, cols))]
+    return SNFResult(tuple(diag),
+                     tuple(tuple(r) for r in left),
+                     tuple(tuple(r) for r in right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-40, 40), min_size=cols, max_size=cols),
+    min_size=1, max_size=5)))
+@example([[0, 0], [0, 0]])
+@example([[6, 4, 10]])
+@example([[4], [6], [-9]])
+def test_snf_matches_oracle(m):
+    # the same row and column operations: diagonal, left and right agree
+    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+    assert smith_normal_form(tuple(map(tuple, m))) == smith_normal_form(m)
 
 
 def test_signature_examples():

@@ -174,3 +174,11 @@ def test_dirichlet_unbounded_parabolic():
     ex = EXAMPLES[1]
     region = dirichlet_region([ex.X, ex.Y], word_depth=5)
     assert not region.bounded
+
+
+def test_dirichlet_stabilized_basepoint_raises():
+    # -I fixes every point of the disk, the nudged basepoint too
+    minus_one = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    form = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    with pytest.raises(ValueError, match="stabilized even after perturbation"):
+        dirichlet_region([minus_one], form=form, word_depth=2)

@@ -27,6 +27,7 @@ from hypermono.spin import (
     DirichletRegion,
     _det2,
     _to_so21,
+    appendix_dirichlet_region,
     dirichlet_region,
     word_search,
 )
@@ -416,6 +417,9 @@ def test_dirichlet_region_matches_oracle(example):
     # repr, not ==, so that -0.0 and 0.0 differ; depth 6 is the default,
     # and example 3 (every depth) and 4 (depths 6, 8) nudge the basepoint
     for depth in (1, 6, 8):
-        assert (repr(dirichlet_region(gens, form=form, word_depth=depth))
-                == repr(oracle_dirichlet(gens, form=form, word_depth=depth)))
+        want = repr(oracle_dirichlet(gens, form=form, word_depth=depth))
+        got = dirichlet_region(gens, form=form, word_depth=depth)
+        assert repr(got) == want
+        # the CLI's and run_dirichlet.py's choice of generators
+        assert repr(appendix_dirichlet_region(example, depth)) == want
 
