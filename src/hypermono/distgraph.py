@@ -4,7 +4,7 @@ factorization witness, and the explicit 2-edge paths for the j = 3 family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exact import (
     bilinear,
@@ -91,20 +91,6 @@ def neighbors(cfg: GraphConfig, u) -> list[tuple[int, ...]]:
     return out
 
 
-def cached_neighbors(cfg: GraphConfig, u: tuple[int, ...],
-                     cache: dict) -> list[tuple[int, ...]]:
-    """neighbors(cfg, u) through a cache of earlier expansions on the same
-    graph. (-u, -w) pairs as (u, w) does, so neighbors(-u) = -neighbors(u)
-    is read from the cache as well; negation reverses the sorted order."""
-    hit = cache.get(u)
-    if hit is None:
-        other = cache.get(tuple(-x for x in u))
-        if other is not None:
-            return [tuple(-x for x in w) for w in reversed(other)]
-        hit = cache[u] = neighbors(cfg, u)
-    return hit
-
-
 @dataclass(frozen=True)
 class PathSearch:
     path: tuple[tuple[int, ...], ...] | None
@@ -112,20 +98,17 @@ class PathSearch:
     nodes_expanded: int
 
 
-def find_path(cfg: GraphConfig, src, dst, *,
-              cache: dict | None = None) -> PathSearch:
+def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
     most max_depth; deterministic (frontiers and children in sorted order).
 
-    `cache` maps vertices to their neighbor lists; searches on one graph
-    that share it expand each vertex once. A cache hit still counts as an
-    expansion, so node_budget and nodes_expanded do not depend on it.
+    No vertex is expanded twice: each side's parents dedupe its frontier,
+    and a vertex reached from both sides ends the search as a meet.
 
     Adjacent endpoints are read from (src, dst) alone: the search would
     expand src once and meet dst among its neighbors, so the result is the
     same, one node expanded, with no neighbor enumeration."""
     g = cfg.lattice.gram
-    cache = {} if cache is None else cache
     src = tuple(src)
     dst = tuple(dst)
     for end in (src, dst):
@@ -169,7 +152,7 @@ def find_path(cfg: GraphConfig, src, dst, *,
             if expanded >= cfg.node_budget:
                 return PathSearch(None, True, expanded)
             expanded += 1
-            for w in cached_neighbors(cfg, node, cache):
+            for w in neighbors(cfg, node):
                 if w in parents:
                     continue
                 parents[w] = node
@@ -280,7 +263,7 @@ class CertificateReport:
     factorization: tuple[tuple[RootVector, RootVector], ...]
     gate: QuotientGate
     detail: str
-    nodes_expanded: int  # over both target searches
+    nodes_expanded: int  # by the one target search
     budget_exhausted: bool  # NoPathFound because node_budget ran out
 
 
@@ -293,47 +276,41 @@ def certify(m: MonodromySystem, *, max_depth: int = 5,
             node_budget: int = 1_000_000) -> CertificateReport:
     """Path from v to g.v in the distance graph + infinite-quotient gate.
 
-    Both target searches draw on one node_budget and one neighbor cache."""
+    r_w = r_{-w}, so either sign of the target certifies; one search runs,
+    toward the sign that pairs negatively with v, under node_budget."""
     cls = classify(m.pair)
     if not cls.hyperbolic:
         raise ValueError("certificate applies to hyperbolic groups only")
     lat = invariant_form(m)
+    if lat.signature != (lat.n - 1, 1):
+        raise ValueError(f"certificate search needs signature ({lat.n - 1}, 1)"
+                         f", got {lat.signature}")
     cfg = config_for(lat, max_depth=max_depth, node_budget=node_budget)
     gate = quotient_gate(lat)
     src = tuple(1 if i == 0 else 0 for i in range(lat.n))
-    gv = tuple(1 if i == 1 else 0 for i in range(lat.n))
-    # r_w = r_{-w}, so either sheet of the target certifies; try the one
-    # pairing negatively with v first
-    targets = [gv, tuple(-x for x in gv)]
-    if lat.gram[0][1] > 0:  # (v, g.v)
-        targets.reverse()
-    cache: dict = {}
-    expanded = 0
-    exhausted = False
-    result = None
-    for dst in targets:
-        if expanded >= node_budget:
-            exhausted = True
-            break
-        search = find_path(replace(cfg, node_budget=node_budget - expanded),
-                           src, dst, cache=cache)
-        expanded += search.nodes_expanded
-        exhausted = exhausted or search.budget_exhausted
-        if search.path is not None:
-            result = search
-            break
-    if result is None:
+    # In signature (n-1, 1) every norm -2 vector is timelike, and two of
+    # them lie on one sheet of the hyperboloid exactly when they pair at
+    # <= -2 (reverse Cauchy-Schwarz; Ratcliffe, Foundations of Hyperbolic
+    # Manifolds, 3.1). Edges pair at -3 or -4, so a path from v never leaves
+    # v's sheet: of +-g.v only the one pairing negatively with v is
+    # reachable. (v, g.v) = gram[0][1] is never 0, as g.v != +-v gives
+    # |(v, g.v)| > 2.
+    sign = 1 if lat.gram[0][1] < 0 else -1
+    dst = tuple(sign if i == 1 else 0 for i in range(lat.n))
+    search = find_path(cfg, src, dst)
+    if search.path is None:
+        path, pairs, status = (), (), NO_PATH_FOUND
         detail = ("node budget exhausted before the depth limit"
-                  if exhausted else
+                  if search.budget_exhausted else
                   f"no path within depth {max_depth}")
-        return CertificateReport(NO_PATH_FOUND, (), (), gate, detail, expanded,
-                                 exhausted)
-    witness = factorize_path(cfg, result.path)
-    status = (THIN_CERTIFIED if gate.verdict == CERTIFIED
-              else PATH_FOUND_GATE_INCONCLUSIVE)
-    detail = f"path of length {len(result.path) - 1}; {gate.reason}"
-    return CertificateReport(status, result.path, witness.pairs, gate, detail,
-                             expanded, exhausted)
+    else:
+        path = search.path
+        pairs = factorize_path(cfg, path).pairs
+        status = (THIN_CERTIFIED if gate.verdict == CERTIFIED
+                  else PATH_FOUND_GATE_INCONCLUSIVE)
+        detail = f"path of length {len(path) - 1}; {gate.reason}"
+    return CertificateReport(status, path, pairs, gate, detail,
+                             search.nodes_expanded, search.budget_exhausted)
 
 
 def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:

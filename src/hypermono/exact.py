@@ -38,7 +38,7 @@ def poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def poly_mul(p: list[int], q: list[int]) -> list[int]:
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -49,13 +49,13 @@ def poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def poly_divmod_exact(p: list[int], q: list[int]) -> list[int] | None:
+def poly_divmod_exact(p: Sequence[int], q: Sequence[int]) -> list[int] | None:
     """Quotient p/q over Z if the division is exact, else None.
 
     q must have leading coefficient +-1 (all our divisors are monic).
     """
-    p = poly_trim(list(p))
-    q = poly_trim(list(q))
+    p = poly_trim(p)
+    q = poly_trim(q)
     assert q, "division by zero polynomial"
     assert q[-1] in (1, -1)
     if not p:
@@ -118,7 +118,7 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     p = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            p = poly_divmod_exact(p, list(cyclotomic_poly(e)))
+            p = poly_divmod_exact(p, cyclotomic_poly(e))
             assert p is not None
     assert len(p) - 1 == euler_phi(d)
     return tuple(p)

@@ -71,7 +71,7 @@ def poly_from_structure(struct: dict[int, int]) -> list[int]:
     p = [1]
     for d, m in sorted(struct.items()):
         for _ in range(m):
-            p = poly_mul(p, list(cyclotomic_poly(d)))
+            p = poly_mul(p, cyclotomic_poly(d))
     return poly_trim(p)
 
 

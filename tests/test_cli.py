@@ -82,17 +82,16 @@ def test_certify_report(capsys):
 
 
 def test_certify_budget_exit_code(capsys):
-    # M2(1, 5) has no path within depth 5; its two target searches expand 40
-    # vertices together, so any smaller budget runs out, and both searches
-    # draw on the one budget
-    for budget in ("5", "25"):
+    # M2(1, 5) has no path within depth 5; its one target search expands 20
+    # vertices, so any smaller budget runs out
+    for budget in ("5", "19"):
         code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
                                     "--n", "5", "--budget", budget])
         assert code == 3
         assert d["status"] == "NoPathFound"
         assert d["detail"] == "node budget exhausted before the depth limit"
     code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
-                                "--n", "5", "--budget", "40"])
+                                "--n", "5", "--budget", "20"])
     assert code == 0 and d["detail"] == "no path within depth 5"
 
 
@@ -154,6 +153,23 @@ def test_certify_rejects_nonpositive_limits(capsys, flag):
                                 "--n", "5", flag, "0"])
     assert code == 2
     assert d["error"] == "max_depth and node_budget must be positive"
+
+
+def test_certify_rejects_the_opposite_signature(capsys, monkeypatch):
+    # the one-sheet search needs signature (n-1, 1); a form of signature
+    # (1, n-1) is invalid input
+    original = distgraph.invariant_form
+
+    def flipped(m):
+        lat = original(m)
+        return lat.from_gram([[-x for x in row] for row in lat.gram])
+
+    monkeypatch.setattr(distgraph, "invariant_form", flipped)
+    code, d = run_json(capsys, ["certify", "--name", "N1", "--j", "1",
+                                "--k", "5", "--n", "5"])
+    assert code == 2
+    assert d == {"error": "certificate search needs signature (4, 1), "
+                          "got (1, 4)"}
 
 
 def test_landau_report(capsys):

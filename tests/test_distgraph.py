@@ -17,12 +17,12 @@ from hypermono.exact import (
     mat_to_int,
     mat_vec,
 )
+from hypermono import distgraph
 from hypermono.exponents import FamilyError, FamilyId, _candidate_ids, classify, make_family
 from hypermono.distgraph import (
     NO_PATH_FOUND,
     PATH_FOUND_GATE_INCONCLUSIVE,
     THIN_CERTIFIED,
-    cached_neighbors,
     certify,
     component_generators,
     config_for,
@@ -188,54 +188,42 @@ def oracle_neighbors(cfg, u):
     return sorted(out)
 
 
-def test_neighbors_match_oracle_on_families():
-    # e0 and its first two neighbors, on every hyperbolic family instance
-    # for n = 5, 7, 9
-    expansions = 0
-    for n in (5, 7, 9):
+def _e(n, i, sign=1):
+    return tuple(sign if k == i else 0 for k in range(n))
+
+
+def _hyperbolic_systems(ns):
+    for n in ns:
         for fid in _candidate_ids(n):
             try:
                 m = build(make_family(fid))
             except FamilyError:
                 continue
-            if not classify(m.pair).hyperbolic:
-                continue
-            cfg = config_for(invariant_form(m))
-            e0 = tuple(1 if i == 0 else 0 for i in range(n))
-            first = neighbors(cfg, e0)
-            assert first == oracle_neighbors(cfg, e0), fid
-            for v in first[:2]:
-                assert neighbors(cfg, v) == oracle_neighbors(cfg, v), (fid, v)
-            expansions += 1 + len(first[:2])
+            if classify(m.pair).hyperbolic:
+                yield fid, m
+
+
+def test_neighbors_match_oracle_on_families():
+    # e0 and its first two neighbors, on every hyperbolic family instance
+    # for n = 5, 7, 9
+    expansions = 0
+    for fid, m in _hyperbolic_systems((5, 7, 9)):
+        cfg = config_for(invariant_form(m))
+        e0 = _e(fid.n, 0)
+        first = neighbors(cfg, e0)
+        assert first == oracle_neighbors(cfg, e0), fid
+        for v in first[:2]:
+            assert neighbors(cfg, v) == oracle_neighbors(cfg, v), (fid, v)
+        expansions += 1 + len(first[:2])
     assert expansions == 260
-
-
-def test_cached_neighbors_reads_the_negated_vertex():
-    cfg = config_for(family_lattice(FamilyId("N1", 1, 7, 7)))
-    u = (0, 1, 0, 0, 0, 0, 0)
-    minus_u = tuple(-x for x in u)
-    cache = {}
-    assert cached_neighbors(cfg, u, cache) == neighbors(cfg, u)
-    assert list(cache) == [u]
-    assert cached_neighbors(cfg, minus_u, cache) == neighbors(cfg, minus_u)
-    assert list(cache) == [u]  # answered from u's entry
-
-
-def test_find_path_cache_does_not_change_the_search():
-    cfg = config_for(family_lattice(FamilyId("M2", 1, None, 5)))
-    e0, e1 = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)
-    cache = {}
-    for dst in (e1, tuple(-x for x in e1)):
-        plain = find_path(cfg, e0, dst)
-        cached = find_path(cfg, e0, dst, cache=cache)
-        assert cached == plain
-        assert plain.path is None and plain.nodes_expanded > 0
 
 
 # The breadth-first search before adjacent endpoints were read from their
 # pairing, kept as an oracle: it expands src even when dst is one edge away.
+# It reads neighbor lists through the module, as find_path does, so that a
+# memo installed there serves both.
 
-def oracle_find_path(cfg, src, dst, cache):
+def oracle_find_path(cfg, src, dst):
     src, dst = tuple(src), tuple(dst)
     if src == dst:
         return PathSearch((src,), False, 0)
@@ -254,7 +242,7 @@ def oracle_find_path(cfg, src, dst, cache):
             if expanded >= cfg.node_budget:
                 return PathSearch(None, True, expanded)
             expanded += 1
-            for w in cached_neighbors(cfg, node, cache):
+            for w in distgraph.neighbors(cfg, node):
                 if w in parents:
                     continue
                 parents[w] = node
@@ -286,34 +274,46 @@ def _signed_basis(n):
             for i in range(n) for s in (1, -1)]
 
 
-def _assert_find_path_matches_oracle(lat, settings):
+def _memoize_neighbors(monkeypatch):
+    """Serve distgraph.neighbors from a memo keyed by (lattice, vertex), and
+    return the list of vertices it was asked for."""
+    memo = {}
+    asked = []
+
+    def memoized(cfg, u):
+        key = (cfg.lattice, tuple(u))
+        asked.append(key[1])
+        if key not in memo:
+            memo[key] = neighbors(cfg, u)
+        return memo[key]
+
+    monkeypatch.setattr(distgraph, "neighbors", memoized)
+    return asked
+
+
+def _assert_find_path_matches_oracle(lat, settings, monkeypatch):
     """Every pair of +-e_i endpoints under each (max_depth, node_budget).
-    The cache only holds neighbor lists, which have their own oracle, so
-    one cache serves both searches; it is filled for every endpoint of
-    either sign first, so that a search from -e_i does not negate the list
-    of e_i again."""
+    Neighbor lists have their own oracle, so one memo serves the search and
+    its oracle; an adjacent pair asks it for none."""
     g = [list(r) for r in lat.gram]
     ends = _signed_basis(lat.n)
-    cache = {}
-    for end in ends:
-        cache[end] = cached_neighbors(config_for(lat), end, cache)
+    asked = _memoize_neighbors(monkeypatch)
     adjacent = 0
     for depth, budget in settings:
         cfg = config_for(lat, max_depth=depth, node_budget=budget)
         for src in ends:
             for dst in ends:
-                want = oracle_find_path(cfg, src, dst, cache)
-                assert find_path(cfg, src, dst, cache=cache) == want, (
+                want = oracle_find_path(cfg, src, dst)
+                before = len(asked)
+                assert find_path(cfg, src, dst) == want, (
                     depth, budget, src, dst)
                 if bilinear(g, list(src), list(dst)) == cfg.edge_value:
-                    untouched = {}
-                    assert find_path(cfg, src, dst, cache=untouched) == want
-                    assert want.nodes_expanded == 1 and untouched == {}
+                    assert want.nodes_expanded == 1 and len(asked) == before
                     adjacent += 1
     return adjacent
 
 
-def test_find_path_matches_oracle_on_small_families():
+def test_find_path_matches_oracle_on_small_families(monkeypatch):
     parities = set()
     adjacent = 0
     for fid in [FamilyId("N1", 1, 5, 5), FamilyId("M2", 1, None, 5),
@@ -322,38 +322,87 @@ def test_find_path_matches_oracle_on_small_families():
         lat = family_lattice(fid)
         parities.add(lat.parity)
         adjacent += _assert_find_path_matches_oracle(
-            lat, [(5, 1_000_000), (5, 1), (1, 1_000_000), (2, 7)])
+            lat, [(5, 1_000_000), (5, 1), (1, 1_000_000), (2, 7)],
+            monkeypatch)
     assert parities == {EVEN_TYPE, ODD_TYPE}
     assert adjacent > 0
 
 
-def test_find_path_matches_oracle_on_n31():
+def test_find_path_matches_oracle_on_n31(monkeypatch):
     # one expansion per search (node_budget=1 is covered on the small
     # families): a deeper search at n = 31 costs seconds
     for fid in N31_IDS:
         lat = family_lattice(fid)
         assert lat.parity == ODD_TYPE
-        adjacent = _assert_find_path_matches_oracle(lat, [(1, 1_000_000)])
+        adjacent = _assert_find_path_matches_oracle(lat, [(1, 1_000_000)],
+                                                    monkeypatch)
         assert adjacent > 0, fid
 
 
-def test_certify_charges_both_searches_to_one_budget():
+def _near_and_far_targets(lat):
+    """(+-e1 pairing negatively with e0, +-e1 pairing positively)."""
+    t = _e(lat.n, 1)
+    minus_t = _e(lat.n, 1, -1)
+    if bilinear(lat.gram, _e(lat.n, 0), t) < 0:
+        return t, minus_t
+    return minus_t, t
+
+
+def test_certify_is_one_search_under_its_budget():
+    # certify's report carries exactly the one find_path toward the target
+    # sign that pairs negatively with v = e0
+    def assert_same(rep, search):
+        assert rep.path == (search.path or ())
+        assert rep.nodes_expanded == search.nodes_expanded
+        assert rep.budget_exhausted == search.budget_exhausted
+
+    for fid in (FamilyId("N1", 1, 7, 7), FamilyId("N4", 1, 1, 5),
+                FamilyId("N1", 7, 17, 17)):
+        m = build(make_family(fid))
+        lat = invariant_form(m)
+        near, _ = _near_and_far_targets(lat)
+        rep = certify(m)
+        assert rep.path, fid
+        assert_same(rep, find_path(config_for(lat), _e(lat.n, 0), near))
+
     m = build(make_family(FamilyId("M2", 1, None, 5)))
+    lat = invariant_form(m)
+    near, _ = _near_and_far_targets(lat)
     full = certify(m)
     assert full.status == NO_PATH_FOUND
     assert full.detail == "no path within depth 5"
-    assert not full.budget_exhausted
-    first = find_path(config_for(invariant_form(m)), (1, 0, 0, 0, 0),
-                      (0, 1, 0, 0, 0))
-    assert 0 < first.nodes_expanded < full.nodes_expanded
-    for budget in (1, 5, first.nodes_expanded, first.nodes_expanded + 3,
-                   full.nodes_expanded - 1):
+    assert not full.budget_exhausted and full.nodes_expanded > 5
+    assert_same(full, find_path(config_for(lat), _e(5, 0), near))
+    for budget in (1, 5, full.nodes_expanded - 1):
         rep = certify(m, node_budget=budget)
-        assert rep.nodes_expanded <= budget, budget
+        assert_same(rep, find_path(config_for(lat, node_budget=budget),
+                                   _e(5, 0), near))
+        assert rep.nodes_expanded == budget
         assert rep.status == NO_PATH_FOUND
         assert rep.detail == "node budget exhausted before the depth limit"
         assert rep.budget_exhausted
     assert certify(m, node_budget=full.nodes_expanded) == full
+
+
+def test_paths_stay_on_the_sheet_of_v(monkeypatch):
+    # In signature (n-1, 1) two norm -2 vectors lie on one sheet exactly
+    # when they pair at <= -2, and edges pair at -3 or -4: the target sign
+    # pairing positively with v = e0 is out of reach, and every vertex of a
+    # certificate path pairs negatively with v.
+    _memoize_neighbors(monkeypatch)
+    instances = certified = 0
+    for fid, m in _hyperbolic_systems((3, 5, 7, 9)):
+        lat = invariant_form(m)
+        assert lat.signature == (lat.n - 1, 1), fid
+        e0 = _e(lat.n, 0)
+        _, far = _near_and_far_targets(lat)
+        search = find_path(config_for(lat, max_depth=5), e0, far)
+        assert search.path is None and not search.budget_exhausted, fid
+        rep = certify(m)
+        assert all(bilinear(lat.gram, e0, p) < 0 for p in rep.path), fid
+        instances += 1
+        certified += bool(rep.path)
+    assert instances == 133 and certified == 66
 
 
 def test_neighbors_rejects_wrong_norm():

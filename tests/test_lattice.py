@@ -93,7 +93,7 @@ def test_gram_form1():
                 expect = -2 if d == 0 else (-3 if d == 1 else -4)
                 assert lat.gram[i][j] == expect
         assert lat.parity == EVEN_TYPE
-        assert sorted(lat.signature) == [1, n - 1]
+        assert lat.signature == (n - 1, 1)
 
 
 def test_gram_form3():
