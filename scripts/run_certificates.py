@@ -1,14 +1,30 @@
 #!/usr/bin/env python3
 """Run the thinness certificate over the standard family instances and
 print one line per instance: status, path length, nodes expanded by the
-path search, and gate verdict."""
+path search, and gate verdict. With --census N, certify every buildable
+hyperbolic family instance for odd n <= N instead, and print the status
+counts per n."""
 
 import argparse
 import time
+from collections import Counter
 
-from hypermono.distgraph import certify
-from hypermono.exponents import FamilyId, make_family
+from hypermono.distgraph import (
+    NO_PATH_FOUND,
+    PATH_FOUND_GATE_INCONCLUSIVE,
+    THIN_CERTIFIED,
+    certify,
+)
+from hypermono.exponents import (
+    FamilyError,
+    FamilyId,
+    _candidate_ids,
+    classify,
+    make_family,
+)
 from hypermono.levelt import build
+
+STATUSES = (THIN_CERTIFIED, PATH_FOUND_GATE_INCONCLUSIVE, NO_PATH_FOUND)
 
 
 def default_instances():
@@ -20,6 +36,33 @@ def default_instances():
     return ids
 
 
+def census(max_n, depth, budget):
+    """One row per odd n <= max_n: instance count, status counts, seconds."""
+    print(f"{'n':>3} {'instances':>9} "
+          + " ".join(f"{st:>{len(st)}}" for st in STATUSES) + f" {'s':>7}")
+    total = Counter()
+    start = time.monotonic()
+    for n in range(3, max_n + 1, 2):
+        t0 = time.monotonic()
+        counts = Counter()
+        for fid in _candidate_ids(n):
+            try:
+                m = build(make_family(fid))
+            except FamilyError:
+                continue
+            if classify(m.pair).hyperbolic:
+                rep = certify(m, max_depth=depth, node_budget=budget)
+                counts[rep.status] += 1
+        counts["instances"] = sum(counts.values())
+        total.update(counts)
+        print(f"{n:>3} {counts['instances']:>9} "
+              + " ".join(f"{counts[st]:>{len(st)}}" for st in STATUSES)
+              + f" {time.monotonic() - t0:7.3f}")
+    print(f"{'all':>3} {total['instances']:>9} "
+          + " ".join(f"{total[st]:>{len(st)}}" for st in STATUSES)
+          + f" {time.monotonic() - start:7.3f}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--large", action="store_true",
@@ -27,7 +70,13 @@ def main():
                     "(well under a second each)")
     ap.add_argument("--depth", type=int, default=5)
     ap.add_argument("--budget", type=int, default=1_000_000)
+    ap.add_argument("--census", type=int, metavar="N",
+                    help="certify every buildable hyperbolic family instance "
+                    "for odd n <= N and print status counts per n")
     args = ap.parse_args()
+    if args.census is not None:
+        census(args.census, args.depth, args.budget)
+        return
 
     ids = default_instances()
     if args.large:

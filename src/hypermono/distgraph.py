@@ -1,6 +1,11 @@
 """Minimal distance graph on the norm -2 vectors of a hyperbolic lattice:
 neighbor enumeration, bidirectional path search, the reflection-product
-factorization witness, and the explicit 2-edge paths for the j = 3 family."""
+factorization witness, and the explicit 2-edge paths for the j = 3 family.
+
+`neighbors` enumerates a vertex's list exactly (kernel, LLL, Fincke-Pohst).
+`find_path` calls it only for its two roots: on an edge (p, u) the root
+a = p - u gives an integral reflection r_a that swaps p and u, so every
+other vertex's list is its parent's list reflected by r_a and sorted."""
 
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ from .lattice import (
     QuadLattice,
     QuotientGate,
     RootVector,
+    _rank_two_product,
     coreflection,
     invariant_form,
     quotient_gate,
@@ -98,12 +104,42 @@ class PathSearch:
     nodes_expanded: int
 
 
+def _reflected(cfg: GraphConfig, parent, node, near) -> list[tuple[int, ...]]:
+    """The neighbor list of node, read from near, the list of its parent
+    across the edge (parent, node).
+
+    a = parent - node is a root: (a, a) = 2 in even type; in odd type
+    (a, a) = 4 and every Gram entry is even, so (a, x) is even for every x.
+    Either way r_a(x) = x - (s_a, x) a is integral, with s_a from
+    `coreflection` (which raises ValueError if a is not a root), and
+    2(a, parent)/(a, a) = 1 gives r_a(parent) = node. An isometry that
+    swaps the two ends maps the vectors pairing with parent at the edge
+    value one to one onto those pairing with node, so the list is
+    sort(r_a(near)), at O(n) per vector."""
+    lat = cfg.lattice
+    a = vec_sub(parent, node)
+    s = coreflection(lat, root_vector(lat, a))
+    out = []
+    for x in near:
+        k = dot(s, x)
+        out.append(tuple([y - k * z for y, z in zip(x, a)]))
+    out.sort()
+    return out
+
+
 def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
     most max_depth; deterministic (frontiers and children in sorted order).
 
     No vertex is expanded twice: each side's parents dedupe its frontier,
     and a vertex reached from both sides ends the search as a meet.
+
+    `neighbors` runs only for the two roots, src and dst. Every other
+    vertex was reached from a parent on the level its side expanded last,
+    and its list is the parent's list reflected across their edge
+    (`_reflected`). Each side keeps the lists of that one level until its
+    next level replaces them; the lists of the search's last level are not
+    kept.
 
     Adjacent endpoints are read from (src, dst) alone: the search would
     expand src once and meet dst among its neighbors, so the result is the
@@ -123,6 +159,8 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     parents_d: dict = {dst: None}
     frontier_s = [src]
     frontier_d = [dst]
+    lists_s: dict = {}
+    lists_d: dict = {}
     depth_s = depth_d = 0
     expanded = 0
 
@@ -141,18 +179,28 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
 
     while frontier_s and frontier_d and depth_s + depth_d < cfg.max_depth:
         if len(frontier_s) <= len(frontier_d):
-            frontier, parents, other = frontier_s, parents_s, parents_d
+            frontier, parents, other, lists = (frontier_s, parents_s,
+                                               parents_d, lists_s)
             forward = True
         else:
-            frontier, parents, other = frontier_d, parents_d, parents_s
+            frontier, parents, other, lists = (frontier_d, parents_d,
+                                               parents_s, lists_d)
             forward = False
         new_frontier = []
+        new_lists = {}
+        # the search ends after its last level, so those lists go unread
+        keep = depth_s + depth_d + 1 < cfg.max_depth
         meets = []
         for node in frontier:
             if expanded >= cfg.node_budget:
                 return PathSearch(None, True, expanded)
             expanded += 1
-            for w in neighbors(cfg, node):
+            parent = parents[node]
+            near = (neighbors(cfg, node) if parent is None
+                    else _reflected(cfg, parent, node, lists[parent]))
+            if keep:
+                new_lists[node] = near
+            for w in near:
                 if w in parents:
                     continue
                 parents[w] = node
@@ -165,10 +213,10 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
                               expanded)
         new_frontier.sort()
         if forward:
-            frontier_s = new_frontier
+            frontier_s, lists_s = new_frontier, new_lists
             depth_s += 1
         else:
-            frontier_d = new_frontier
+            frontier_d, lists_d = new_frontier, new_lists
             depth_d += 1
     return PathSearch(None, False, expanded)
 
@@ -183,14 +231,16 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     u-w and u-3w (odd; both norm +4) with r_u r_w = r_{u-w} r_{u-2w} (resp.
     r_{u-w} r_{u-3w}) and r_{u-w}(u) = w, verified exactly, plus the
     telescoped product identity over the whole path. Every product is formed
-    as a rank-two update (`reflection_product`), in O(n^2) per edge."""
+    as a rank-two update (`reflection_product`), in O(n^2) per edge, and
+    each edge root's coreflection is formed once."""
     lat = cfg.lattice
     # the vertices as integer tuples, the type of every RootVector.vec
     roots = [root_vector(lat, p) for p in path]
     mult = 2 if lat.parity == EVEN_TYPE else 3
     root_norm = 2 if lat.parity == EVEN_TYPE else 4
     pairs = []
-    telescoped = identity(lat.n)
+    one = identity(lat.n)
+    telescoped = one
     for ru, rw in zip(roots, roots[1:]):
         u, w = ru.vec, rw.vec
         if bilinear(lat.gram, u, w) != cfg.edge_value:
@@ -202,14 +252,15 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
+        a_s, b_s = (a.vec, coreflection(lat, a)), (b.vec, coreflection(lat, b))
         if not mat_eq(reflection_product(lat, ru, rw),
-                      reflection_product(lat, a, b)):
+                      _rank_two_product(a_s, b_s, one)):
             raise AssertionError("reflection product identity failed")
-        k = dot(coreflection(lat, a), u)
+        k = dot(a_s[1], u)
         if tuple(x - k * y for x, y in zip(u, a.vec)) != w:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
-        telescoped = reflection_product(lat, a, b, telescoped)
+        telescoped = _rank_two_product(a_s, b_s, telescoped)
     if roots:
         r_first_last = reflection_product(lat, roots[0], roots[-1])
         if not mat_eq(r_first_last, telescoped):

@@ -167,18 +167,25 @@ def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:
 
 def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
                        m=None) -> list[list[int]]:
-    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2).
+    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2)
+    (`_rank_two_product`)."""
+    return _rank_two_product((a.vec, coreflection(l, a)),
+                             (b.vec, coreflection(l, b)),
+                             identity(l.n) if m is None else m)
+
+
+def _rank_two_product(a, b, m) -> list[list[int]]:
+    """m r_a r_b for a = (a, s_a) and b = (b, s_b), each a root with its
+    coreflection, so a caller that holds s_a forms it once.
 
     With r_x = I - x s_x^t (`coreflection`), r_a r_b is the rank-two update
     I - a s_a^t - r_a(b) s_b^t, so m r_a r_b = m - (m a) s_a^t
     - (m r_a(b)) s_b^t needs two matrix-vector products and no matrix
     product."""
-    sa, sb = coreflection(l, a), coreflection(l, b)
-    k = dot(sa, b.vec)
-    rab = [y - k * x for x, y in zip(a.vec, b.vec)]
-    if m is None:
-        m = identity(l.n)
-    ma, mb = mat_vec(m, a.vec), mat_vec(m, rab)
+    (av, sa), (bv, sb) = a, b
+    k = dot(sa, bv)
+    rab = [y - k * x for x, y in zip(av, bv)]
+    ma, mb = mat_vec(m, av), mat_vec(m, rab)
     return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]
             for row, p, q in zip(m, ma, mb)]
 

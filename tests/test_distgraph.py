@@ -1,7 +1,10 @@
 import functools
 import itertools
 import math
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,9 +222,10 @@ def test_neighbors_match_oracle_on_families():
 
 
 # The breadth-first search before adjacent endpoints were read from their
-# pairing, kept as an oracle: it expands src even when dst is one edge away.
-# It reads neighbor lists through the module, as find_path does, so that a
-# memo installed there serves both.
+# pairing and lists were reflected from the parent's, kept as an oracle: it
+# expands src even when dst is one edge away, and enumerates every list. It
+# reads neighbor lists through the module, as find_path does for its two
+# roots, so that a memo installed there serves both.
 
 def oracle_find_path(cfg, src, dst):
     src, dst = tuple(src), tuple(dst)
@@ -403,6 +407,60 @@ def test_paths_stay_on_the_sheet_of_v(monkeypatch):
         instances += 1
         certified += bool(rep.path)
     assert instances == 133 and certified == 66
+
+
+def test_reflected_lists_match_neighbors(monkeypatch):
+    # Every vertex find_path expands past its two roots gets its list from
+    # its parent's (`_reflected`). Check each such list, and the parent list
+    # it was read from, against `neighbors` itself. The sign of e2 pairing
+    # positively with e0 lies on the other sheet, so each search runs to
+    # its depth limit and expands every vertex within reach.
+    memo = {}
+
+    def listed(cfg, u):
+        key = (cfg.lattice, u)
+        if key not in memo:
+            memo[key] = neighbors(cfg, u)
+        return memo[key]
+
+    reflected = distgraph._reflected
+    checked = {EVEN_TYPE: 0, ODD_TYPE: 0}
+    deep = 0
+
+    def checking(cfg, parent, node, near):
+        nonlocal deep
+        got = reflected(cfg, parent, node, near)
+        assert near == listed(cfg, parent), (parent, node)
+        assert got == listed(cfg, node), (parent, node)
+        checked[cfg.lattice.parity] += 1
+        deep += parent not in roots
+        return got
+
+    monkeypatch.setattr(distgraph, "_reflected", checking)
+    for fid in [FamilyId("M2", 1, None, n) for n in (5, 7, 9, 11, 13)] + [
+            FamilyId("N2", 3, 4, 13), FamilyId("N1", 1, 1, 5),
+            FamilyId("N1", 1, 1, 7), FamilyId("M2", 3, None, 7),
+            FamilyId("N4", 1, 1, 9), FamilyId("N1", 1, 1, 11),
+            FamilyId("N1", 1, 1, 13)]:
+        lat = family_lattice(fid)
+        e0 = _e(lat.n, 0)
+        far = _e(lat.n, 2, 1 if lat.gram[0][2] > 0 else -1)
+        roots = (e0, far)
+        search = find_path(config_for(lat), e0, far)
+        assert search.path is None and not search.budget_exhausted, fid
+    # lists reflected from a reflected list, not only from a root's
+    assert deep > 1000
+    assert checked[EVEN_TYPE] > 500 and checked[ODD_TYPE] > 500, checked
+
+
+def test_reflected_rejects_a_non_root_edge():
+    # `coreflection` guards the transport: a difference that is not a root
+    # has no integral reflection
+    lat = family_lattice(FamilyId("N1", 1, 5, 5))
+    e0, e2 = _e(5, 0), _e(5, 2)
+    assert not root_vector(lat, [x - y for x, y in zip(e0, e2)]).is_root
+    with pytest.raises(ValueError, match="not a k-root"):
+        distgraph._reflected(config_for(lat), e0, e2, [e0])
 
 
 def test_neighbors_rejects_wrong_norm():
@@ -638,6 +696,18 @@ def test_certify_statuses():
     rep = certify(build(make_family(FamilyId("N4", 1, 1, 5))))
     # the +-sheet convention finds a one-edge path; the odd gate stays open
     assert rep.status == PATH_FOUND_GATE_INCONCLUSIVE
+
+
+def test_census_script_counts(monkeypatch, capsys):
+    # scripts/run_certificates.py --census 7: instances, ThinCertified,
+    # PathFoundGateInconclusive and NoPathFound per odd n, then the totals
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_certificates.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--census", "7"])
+    runpy.run_path(str(script), run_name="__main__")
+    rows = [line.split()[:5] for line in capsys.readouterr().out.splitlines()]
+    assert rows[1:] == [["3", "13", "0", "9", "4"], ["5", "27", "9", "6", "12"],
+                        ["7", "40", "14", "6", "20"],
+                        ["all", "80", "23", "21", "36"]]
 
 
 def test_certify_secondthin_instance():
