@@ -29,12 +29,12 @@ from .lattice import (
     QuadLattice,
     QuotientGate,
     RootVector,
+    _coreflection_of,
     _rank_two_product,
-    coreflection,
+    _root_and_coreflection,
     invariant_form,
     quotient_gate,
     reflection,
-    reflection_product,
     root_vector,
 )
 from .levelt import MonodromySystem
@@ -110,15 +110,15 @@ def _reflected(cfg: GraphConfig, parent, node, near) -> list[tuple[int, ...]]:
 
     a = parent - node is a root: (a, a) = 2 in even type; in odd type
     (a, a) = 4 and every Gram entry is even, so (a, x) is even for every x.
-    Either way r_a(x) = x - (s_a, x) a is integral, with s_a from
-    `coreflection` (which raises ValueError if a is not a root), and
+    Either way r_a(x) = x - (s_a, x) a is integral, with s_a the
+    coreflection (ValueError if a is not a root), and
     2(a, parent)/(a, a) = 1 gives r_a(parent) = node. An isometry that
     swaps the two ends maps the vectors pairing with parent at the edge
     value one to one onto those pairing with node, so the list is
     sort(r_a(near)), at O(n) per vector."""
     lat = cfg.lattice
     a = vec_sub(parent, node)
-    s = coreflection(lat, root_vector(lat, a))
+    s = _coreflection_of(lat, a)
     out = []
     for x in near:
         k = dot(s, x)
@@ -231,38 +231,45 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     u-w and u-3w (odd; both norm +4) with r_u r_w = r_{u-w} r_{u-2w} (resp.
     r_{u-w} r_{u-3w}) and r_{u-w}(u) = w, verified exactly, plus the
     telescoped product identity over the whole path. Every product is formed
-    as a rank-two update (`reflection_product`), in O(n^2) per edge, and
-    each edge root's coreflection is formed once."""
+    as a rank-two update (`_rank_two_product`), in O(n^2) per edge, and
+    each vertex's and edge root's coreflection is formed once, from one
+    product G v."""
     lat = cfg.lattice
     # the vertices as integer tuples, the type of every RootVector.vec
-    roots = [root_vector(lat, p) for p in path]
+    verts = [tuple(int(x) for x in p) for p in path]
+    cof = {}  # vertex index -> (vertex, coreflection), formed on first use
+
+    def vertex(i):
+        if i not in cof:
+            cof[i] = verts[i], _coreflection_of(lat, verts[i])
+        return cof[i]
+
     mult = 2 if lat.parity == EVEN_TYPE else 3
     root_norm = 2 if lat.parity == EVEN_TYPE else 4
     pairs = []
     one = identity(lat.n)
     telescoped = one
-    for ru, rw in zip(roots, roots[1:]):
-        u, w = ru.vec, rw.vec
+    for i, (u, w) in enumerate(zip(verts, verts[1:])):
         if bilinear(lat.gram, u, w) != cfg.edge_value:
             raise ValueError("consecutive path vertices are not adjacent")
-        a = root_vector(lat, vec_sub(u, w))
-        bvec = vec_sub(u, [mult * x for x in w])
-        b = root_vector(lat, bvec)
+        a, sa = _root_and_coreflection(lat, vec_sub(u, w))
+        b, sb = _root_and_coreflection(lat, vec_sub(u, [mult * x for x in w]))
         if a.norm != root_norm or b.norm != root_norm:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
-        a_s, b_s = (a.vec, coreflection(lat, a)), (b.vec, coreflection(lat, b))
-        if not mat_eq(reflection_product(lat, ru, rw),
+        a_s, b_s = (a.vec, sa), (b.vec, sb)
+        if not mat_eq(_rank_two_product(vertex(i), vertex(i + 1), one),
                       _rank_two_product(a_s, b_s, one)):
             raise AssertionError("reflection product identity failed")
-        k = dot(a_s[1], u)
+        k = dot(sa, u)
         if tuple(x - k * y for x, y in zip(u, a.vec)) != w:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
         telescoped = _rank_two_product(a_s, b_s, telescoped)
-    if roots:
-        r_first_last = reflection_product(lat, roots[0], roots[-1])
+    if verts:
+        r_first_last = _rank_two_product(vertex(0), vertex(len(verts) - 1),
+                                         one)
         if not mat_eq(r_first_last, telescoped):
             raise AssertionError("telescoped product identity failed")
     return FactorizationWitness(tuple(pairs))

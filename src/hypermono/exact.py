@@ -1,6 +1,9 @@
 """Exact rational/integer linear algebra, cyclotomic polynomials, Smith normal
 form, integral LLL, short-vector enumeration, and the breadth-first word
-enumeration that the growth probe and the rank-3 checks share.
+enumeration that the growth probe and the rank-3 checks share. Given each
+generator's inverse, that enumeration skips the product of an element with
+the inverse of its last letter, which only leads back to its parent; the
+skip changes no output.
 
 Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are sequences of rows over int or Fraction and
@@ -299,19 +302,34 @@ def primitive_integer_vector(v: Vec) -> list[int]:
 # breadth-first word enumeration
 # ---------------------------------------------------------------------------
 
-def word_bfs(start, gens, mul, key, depth: int, keep=None):
+def word_bfs(start, gens, mul, key, depth: int, keep=None, inverse=None):
     """Breadth-first over the elements start * g1 * ... * gk (gi in gens,
     products formed by `mul`, k <= depth): yields (k, x) the first time
     key(x) is reached, from (0, start) on, lazily, so a consumer that stops
     computes nothing further. A product failing `keep` is dropped before
-    the dedupe check."""
+    the dedupe check.
+
+    With `inverse`, gens[inverse[i]] is the inverse of gens[i] (an
+    involution is its own), and an element first reached through gens[i]
+    is never multiplied by gens[inverse[i]]: that backtrack is the element's
+    parent, whose key is already seen, so skipping it changes no output."""
+    n = len(gens)
+    every = list(enumerate(gens))
+    # follow[i]: the letters that may come after letter i; follow[n] (no
+    # letter yet) is every letter, and so is each entry without `inverse`
+    follow = ([every] * n if inverse is None else
+              [[(j, g) for j, g in every if j != inverse[i]]
+               for i in range(n)])
+    follow.append(every)
     seen = {key(start)}
-    frontier = [start]
+    # each frontier element's last letter, kept beside it in a bytearray
+    # when the letters fit in one
+    frontier, last = [start], bytearray((n,)) if n < 256 else [n]
     yield 0, start
     for length in range(1, depth + 1):
-        nxt = []
-        for x in frontier:
-            for g in gens:
+        nxt, nxt_last = [], type(last)()
+        for x, i in zip(frontier, last):
+            for j, g in follow[i]:
                 y = mul(x, g)
                 if keep is not None and not keep(y):
                     continue
@@ -319,8 +337,9 @@ def word_bfs(start, gens, mul, key, depth: int, keep=None):
                 if k not in seen:
                     seen.add(k)
                     nxt.append(y)
+                    nxt_last.append(j)
                     yield length, y
-        frontier = nxt
+        frontier, last = nxt, nxt_last
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,29 @@ def closure_under_inverse(generators):
     """The generators and their inverses as integer matrices, repeats
     dropped. Raises ValueError unless every generator is a unimodular
     integer matrix, all of one size."""
-    out = []
-    seen = set()
+    return _closure_and_inverse(generators)[0]
+
+
+def _closure_and_inverse(generators):
+    """closure_under_inverse(generators), and for each of its matrices the
+    index of its inverse among them (its own for an involution), read off
+    the pairs (g, g^-1) with no product."""
+    out, inverse = [], []
+    index = {}  # flat key -> position in out
     for g in generators:
+        pair = []
         for h in (g, _inverse(g)):
             k = flatten(h)
-            if k not in seen:
-                seen.add(k)
+            if k not in index:
+                index[k] = len(out)
                 out.append([[int(x) for x in r] for r in h])
+                inverse.append(None)
+            pair.append(index[k])
+        i, j = pair
+        inverse[i], inverse[j] = j, i
     if len({len(g) for g in out}) > 1:
         raise ValueError("growth generators must all have the same size")
-    return out
+    return out, inverse
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,7 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
         raise ValueError("margin must be at least 1")
     if depth < 0:
         raise ValueError("word limit must be at least 0")
-    gens = closure_under_inverse(generators)
+    gens, inverse = _closure_and_inverse(generators)
     if not gens:
         raise ValueError("at least one generator required")
     prune_sq = (margin * t) ** 2
@@ -74,7 +86,8 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
     # product, so it inlines _frob_sq
     ball = word_bfs(flatten(identity(len(gens[0]))),
                     [flatten(g) for g in gens], mat_mul, tuple, depth,
-                    keep=lambda g: sum(map(mul, g, g)) <= prune_sq)
+                    keep=lambda g: sum(map(mul, g, g)) <= prune_sq,
+                    inverse=inverse)
     return ((length, _frob_sq(g)) for length, g in ball)
 
 

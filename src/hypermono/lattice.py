@@ -13,6 +13,7 @@ scale, because disjoint exponents give an irreducible group (Beukers-Heckman
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import (
     dot,
@@ -44,12 +45,18 @@ def classify_parity(gram) -> str | None:
 class QuadLattice:
     gram: tuple[tuple[int, ...], ...]
     parity: str | None
-    inv_factors: tuple[int, ...]  # nontrivial (> 1) invariant factors, sorted
     signature: tuple[int, int]
 
     @property
     def n(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def inv_factors(self) -> tuple[int, ...]:
+        """The nontrivial (> 1) invariant factors, sorted, from the Smith
+        normal form on first read: the odd-type gate never reads them."""
+        return tuple(sorted(d for d in smith_normal_form(self.gram).diagonal
+                            if d > 1))
 
     @classmethod
     def from_gram(cls, gram) -> "QuadLattice":
@@ -62,10 +69,7 @@ class QuadLattice:
         pos, neg, zero = signature_of_symmetric(g)
         if zero:
             raise ValueError("Gram matrix is degenerate")
-        snf = smith_normal_form(g)
-        factors = tuple(sorted(d for d in snf.diagonal if d > 1))
-        return cls(tuple(tuple(r) for r in g), classify_parity(g), factors,
-                   (pos, neg))
+        return cls(tuple(tuple(r) for r in g), classify_parity(g), (pos, neg))
 
 
 @dataclass(frozen=True)
@@ -141,21 +145,37 @@ def companion_preserves(gram, p) -> bool:
             and dot(p, gp) == gram[n - 1][n - 1])
 
 
+_NOT_A_ROOT = "vector is not a k-root; reflection is not integral"
+
+
 def root_vector(l: QuadLattice, vec) -> RootVector:
+    return _root_and_coreflection(l, vec)[0]
+
+
+def _root_and_coreflection(l: QuadLattice, vec):
+    """root_vector(l, vec) and, for a root, its coreflection (None for any
+    other vector), both from the one product G v."""
     v = [int(x) for x in vec]
     gv = mat_vec(l.gram, v)
     k = dot(v, gv)
-    is_root = k != 0 and all((2 * x) % k == 0 for x in gv)
-    return RootVector(tuple(v), k, is_root)
+    if k == 0 or any((2 * x) % k for x in gv):
+        return RootVector(tuple(v), k, False), None
+    return RootVector(tuple(v), k, True), [2 * x // k for x in gv]
 
 
 def coreflection(l: QuadLattice, r: RootVector) -> list[int]:
     """s = 2 G r / (r, r), integral for a k-root, so that the reflection
     y -> y - 2(r,y)/(r,r) r is y -> y - (s, y) r, with matrix I - r s^t."""
-    if not r.is_root:
-        raise ValueError("vector is not a k-root; reflection is not integral")
-    gv = mat_vec(l.gram, r.vec)
-    return [2 * x // r.norm for x in gv]
+    return _coreflection_of(l, r.vec)
+
+
+def _coreflection_of(l: QuadLattice, vec) -> list[int]:
+    """coreflection(l, root_vector(l, vec)), forming G v once; ValueError
+    unless vec is a root."""
+    s = _root_and_coreflection(l, vec)[1]
+    if s is None:
+        raise ValueError(_NOT_A_ROOT)
+    return s
 
 
 def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:

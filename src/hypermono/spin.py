@@ -89,8 +89,9 @@ def word_search(generators, target, max_len: int):
 
     ident = [[1, 0], [0, 1]]
     goal = {key(target), key(mat_neg(target))}
+    # gens[2i + 1] is the inverse of gens[2i]
     states = word_bfs((key(ident), ident, ()), gens, step, itemgetter(0),
-                      max_len)
+                      max_len, inverse=[i ^ 1 for i in range(len(gens))])
     for _, (k, _, word) in states:
         if k in goal:
             return list(word)
@@ -228,7 +229,11 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
         p0 = (u0 * scale, v0 * scale, scale)
         x0, y0, z0 = p0
         images = []
-        words = word_bfs(ident, full, flat_mat_mul, key, word_depth)
+        # full[2i + 1] is numpy's inverse of full[2i], so a product with it
+        # undoes the last letter up to rounding; on the appendix examples
+        # every such product rounds to its parent's key
+        words = word_bfs(ident, full, flat_mat_mul, key, word_depth,
+                         inverse=[i ^ 1 for i in range(len(full))])
         for _, m in islice(words, 1, None):  # every element but the identity
             p = (m[0] * x0 + m[1] * y0 + m[2] * z0,
                  m[3] * x0 + m[4] * y0 + m[5] * z0,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypermono import lattice
+from hypermono.distgraph import certify
 from hypermono.exact import (
     bilinear,
     identity,
@@ -298,6 +300,27 @@ def test_reflections_preserve_gram():
 def test_two_elementary():
     assert two_elementary(QuadLattice.from_gram([[2, 0], [0, -2]]))
     assert not two_elementary(QuadLattice.from_gram([[2, 1], [1, -1]]))
+
+
+def test_invariant_factors_are_formed_on_first_read(monkeypatch):
+    # the odd-type gate never reads them, so an odd-type certificate forms
+    # no Smith normal form
+    real = lattice.smith_normal_form
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    m = build(make_family(FamilyId("N1", 1, 1, 9)))
+    assert certify(m).path is not None and calls == []
+    lat = invariant_form(m)
+    assert lat.parity == ODD_TYPE and calls == []
+    want = tuple(sorted(d for d in real(lat.gram).diagonal if d > 1))
+    assert lat.inv_factors == want
+    assert lat.inv_factors == want and len(calls) == 1  # formed once
+    assert QuadLattice.from_gram(lat.gram) == lat
 
 
 def test_quotient_gate_even():

@@ -287,6 +287,31 @@ def test_word_bfs_early_exit():
     assert length == 2 and mul.calls == 5
 
 
+def test_word_bfs_skips_backtracks():
+    # Z under +1 and -1: past level 1 each element has one product, away
+    # from 0, since the other leads back to its parent
+    mul = Counted()
+    out = list(word_bfs(0, (1, -1), mul, lambda x: x, 3, inverse=(1, 0)))
+    assert out == [(0, 0), (1, 1), (1, -1), (2, 2), (2, -2), (3, 3), (3, -3)]
+    assert mul.calls == 2 + 1 * 2 + 1 * 2
+    mul = Counted()
+    assert list(word_bfs(5, (1, -1), mul, lambda x: x, 0,
+                         inverse=(1, 0))) == [(0, 5)]
+    assert mul.calls == 0
+
+
+def test_word_bfs_skips_backtracks_past_a_byte_of_letters():
+    # 300 letters: past 255 the last letters are kept in a list, not a
+    # bytearray
+    gens = [k for i in range(1, 151) for k in (i, -i)]
+    inverse = [i ^ 1 for i in range(len(gens))]
+    mul = Counted()
+    got = list(word_bfs(0, gens, mul, lambda x: x, 2, inverse=inverse))
+    assert got == list(word_bfs(0, gens, lambda x, g: x + g,
+                                lambda x: x, 2))
+    assert mul.calls == 300 + 299 * 300
+
+
 # ---------------------------------------------------------------------------
 # growth and spin readers against the oracles
 # ---------------------------------------------------------------------------
@@ -325,6 +350,72 @@ def test_growth_readers_match_oracles(gens):
         return
     assert (run.t_grid, run.counts, run.word_limit) == (grid, counts, wl)
     assert growth_run(gens, 2, 10, 5) == run
+
+
+# generators with an involution (SWAP), one passed twice (GEN_A) and one
+# passed as its inverse (GEN_B_INV): closure_under_inverse drops repeats
+SWAP = [[0, 1], [1, 0]]
+GEN_B_INV = [[1, 0], [-2, 1]]
+TOY = [GEN_A, SWAP, GEN_A, GEN_B_INV]
+
+
+def _flat_ball(generators, depth, prune_sq, inverse=None):
+    gens = [tuple(x for row in g for x in row)
+            for g in closure_under_inverse(generators)]
+    n = math.isqrt(len(gens[0]))
+    start = tuple(int(i == j) for i in range(n) for j in range(n))
+    return list(word_bfs(start, gens, growth.mat_mul, tuple, depth,
+                         keep=lambda g: sum(x * x for x in g) <= prune_sq,
+                         inverse=inverse))
+
+
+def test_closure_pairs_each_generator_with_its_inverse():
+    gens, inverse = growth._closure_and_inverse(TOY)
+    assert gens == closure_under_inverse(TOY)
+    assert gens == [GEN_A, [[1, -2], [0, 1]], SWAP, GEN_B_INV, GEN_B]
+    assert inverse == [1, 0, 2, 4, 3]
+    for name, generators in GROWTH_CASES:
+        gens, inverse = growth._closure_and_inverse(generators)
+        for g, i in zip(gens, inverse):
+            assert mat_mul(g, gens[i]) == [[int(r == c) for c in range(len(g))]
+                                           for r in range(len(g))], name
+
+
+@pytest.mark.parametrize("generators", [g for _, g in GROWTH_CASES] + [TOY],
+                         ids=[name for name, _ in GROWTH_CASES] + ["toy"])
+def test_skipping_backtracks_changes_no_growth_word(generators):
+    inverse = growth._closure_and_inverse(generators)[1]
+    for depth, prune_sq in ((0, 10 ** 6), (6, 10 ** 12), (12, 40 ** 2)):
+        assert (_flat_ball(generators, depth, prune_sq, inverse)
+                == _flat_ball(generators, depth, prune_sq))
+
+
+def test_growth_products_skip_backtracks(monkeypatch):
+    # every element past the identity forms one product fewer than there
+    # are generators: the one back to its parent
+    generators = dict(GROWTH_CASES)["ex6 A,B"]
+    ngens = len(closure_under_inverse(generators))
+    real_mul = growth.mat_mul
+    for limit in (0, 1, 5):
+        lengths = [length for length, _ in
+                   growth._norm_stream(generators, 50, limit, 4)]
+        calls = [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return real_mul(a, b)
+
+        monkeypatch.setattr(growth, "mat_mul", counted)
+        enumerate_ball(generators, 50, limit)
+        monkeypatch.setattr(growth, "mat_mul", real_mul)
+        inner = sum(1 <= length < limit for length in lengths)
+        assert calls[0] == (ngens + (ngens - 1) * inner if limit else 0)
+
+
+def test_word_limit_zero_forms_no_product(monkeypatch):
+    monkeypatch.setattr(growth, "mat_mul", None)  # any product would fail
+    for generators in ([GEN_A, GEN_B], TOY):
+        assert enumerate_ball(generators, 10, 0) == growth.BallCount(1, True)
 
 
 def test_truncated_flag():
