@@ -10,6 +10,7 @@ other vertex's list is its parent's list reflected by r_a and sorted."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .exact import (
     bilinear,
@@ -22,22 +23,21 @@ from .exact import (
     mat_vec,
     vec_sub,
 )
-from .exponents import classify
+from .exponents import FamilyId, classify, make_family
 from .lattice import (
     CERTIFIED,
     EVEN_TYPE,
     QuadLattice,
     QuotientGate,
     RootVector,
-    _coreflection_of,
-    _rank_two_product,
-    _root_and_coreflection,
     invariant_form,
     quotient_gate,
+    reflect,
     reflection,
+    reflection_product,
     root_vector,
 )
-from .levelt import MonodromySystem
+from .levelt import MonodromySystem, build
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,12 @@ def _reflected(cfg: GraphConfig, parent, node, near) -> list[tuple[int, ...]]:
 
     a = parent - node is a root: (a, a) = 2 in even type; in odd type
     (a, a) = 4 and every Gram entry is even, so (a, x) is even for every x.
-    Either way r_a(x) = x - (s_a, x) a is integral, with s_a the
-    coreflection (ValueError if a is not a root), and
-    2(a, parent)/(a, a) = 1 gives r_a(parent) = node. An isometry that
+    Either way r_a is integral (`reflect`; ValueError if a is not a root),
+    and 2(a, parent)/(a, a) = 1 gives r_a(parent) = node. An isometry that
     swaps the two ends maps the vectors pairing with parent at the edge
     value one to one onto those pairing with node, so the list is
     sort(r_a(near)), at O(n) per vector."""
-    lat = cfg.lattice
-    a = vec_sub(parent, node)
-    s = _coreflection_of(lat, a)
-    out = []
-    for x in near:
-        k = dot(s, x)
-        out.append(tuple([y - k * z for y, z in zip(x, a)]))
+    out = reflect(root_vector(cfg.lattice, vec_sub(parent, node)), near)
     out.sort()
     return out
 
@@ -164,7 +157,7 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     depth_s = depth_d = 0
     expanded = 0
 
-    def build(meet, side_parent_s, side_parent_d):
+    def joined(meet, side_parent_s, side_parent_d):
         left = []
         node = meet
         while node is not None:
@@ -209,7 +202,7 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
                     meets.append(w)
         if meets:
             meet = min(meets)
-            return PathSearch(build(meet, parents_s, parents_d), False,
+            return PathSearch(joined(meet, parents_s, parents_d), False,
                               expanded)
         new_frontier.sort()
         if forward:
@@ -231,47 +224,35 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     u-w and u-3w (odd; both norm +4) with r_u r_w = r_{u-w} r_{u-2w} (resp.
     r_{u-w} r_{u-3w}) and r_{u-w}(u) = w, verified exactly, plus the
     telescoped product identity over the whole path. Every product is formed
-    as a rank-two update (`_rank_two_product`), in O(n^2) per edge, and
+    as a rank-two update (`reflection_product`), in O(n^2) per edge, and
     each vertex's and edge root's coreflection is formed once, from one
-    product G v."""
+    product G v (`root_vector`)."""
     lat = cfg.lattice
-    # the vertices as integer tuples, the type of every RootVector.vec
-    verts = [tuple(int(x) for x in p) for p in path]
-    cof = {}  # vertex index -> (vertex, coreflection), formed on first use
-
-    def vertex(i):
-        if i not in cof:
-            cof[i] = verts[i], _coreflection_of(lat, verts[i])
-        return cof[i]
-
+    verts = [root_vector(lat, p) for p in path]
     mult = 2 if lat.parity == EVEN_TYPE else 3
     root_norm = 2 if lat.parity == EVEN_TYPE else 4
     pairs = []
     one = identity(lat.n)
     telescoped = one
-    for i, (u, w) in enumerate(zip(verts, verts[1:])):
-        if bilinear(lat.gram, u, w) != cfg.edge_value:
+    for u, w in zip(verts, verts[1:]):
+        if bilinear(lat.gram, u.vec, w.vec) != cfg.edge_value:
             raise ValueError("consecutive path vertices are not adjacent")
-        a, sa = _root_and_coreflection(lat, vec_sub(u, w))
-        b, sb = _root_and_coreflection(lat, vec_sub(u, [mult * x for x in w]))
+        a = root_vector(lat, vec_sub(u.vec, w.vec))
+        b = root_vector(lat, vec_sub(u.vec, [mult * x for x in w.vec]))
         if a.norm != root_norm or b.norm != root_norm:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
-        a_s, b_s = (a.vec, sa), (b.vec, sb)
-        if not mat_eq(_rank_two_product(vertex(i), vertex(i + 1), one),
-                      _rank_two_product(a_s, b_s, one)):
+        if not mat_eq(reflection_product(lat, u, w, one),
+                      reflection_product(lat, a, b, one)):
             raise AssertionError("reflection product identity failed")
-        k = dot(sa, u)
-        if tuple(x - k * y for x, y in zip(u, a.vec)) != w:
+        if reflect(a, [u.vec]) != [w.vec]:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
-        telescoped = _rank_two_product(a_s, b_s, telescoped)
-    if verts:
-        r_first_last = _rank_two_product(vertex(0), vertex(len(verts) - 1),
-                                         one)
-        if not mat_eq(r_first_last, telescoped):
-            raise AssertionError("telescoped product identity failed")
+        telescoped = reflection_product(lat, a, b, telescoped)
+    if verts and not mat_eq(reflection_product(lat, verts[0], verts[-1], one),
+                            telescoped):
+        raise AssertionError("telescoped product identity failed")
     return FactorizationWitness(tuple(pairs))
 
 
@@ -280,12 +261,8 @@ def explicit_path_N1_3(n: int) -> list[list[int]]:
     with 6-periodic coordinates (1,-2,2,-1,0,0,...): w = u + v_{n-1} when
     n = 1 (mod 6) (pattern up to m = n-3), w = u + v_{n-2} when n = 3 (mod 6)
     (up to m = n-5). Returns [v_a, w, v_b] in lattice coordinates."""
-    from .exponents import FamilyId, make_family
-    from .levelt import build
-
     if n % 2 == 0 or n < 7:
         raise ValueError("n must be odd and at least 7")
-    from math import gcd
     if gcd(n + 1, 3) != 1:
         raise ValueError("the j = 3 family requires gcd(n+1, 3) = 1")
     if n % 6 == 1:

@@ -19,11 +19,6 @@ from .exact import cyclotomic_poly, moebius, poly_mul, poly_trim
 Exponent = Fraction
 
 
-def _norm_exponent(x) -> Fraction:
-    f = Fraction(x) % 1
-    return f
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     alpha: tuple[Fraction, ...]
@@ -44,8 +39,8 @@ class ExponentPair:
 
     @classmethod
     def make(cls, alpha, beta) -> "ExponentPair":
-        return cls(tuple(_norm_exponent(x) for x in alpha),
-                   tuple(_norm_exponent(x) for x in beta))
+        return cls(tuple(Fraction(x) % 1 for x in alpha),
+                   tuple(Fraction(x) % 1 for x in beta))
 
 
 def cyclotomic_structure(exps) -> dict[int, int] | None:
@@ -194,13 +189,6 @@ def _swap(c: Counter, remove: Fraction, insert: Fraction, what: str) -> Counter:
     return +c
 
 
-def _counter_to_sorted(c: Counter) -> list[Fraction]:
-    out: list[Fraction] = []
-    for x, m in c.items():
-        out.extend([x] * m)
-    return sorted(out)
-
-
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
@@ -288,8 +276,8 @@ def _construct_family(fid: FamilyId) -> ExponentPair:
             alpha[HALF] += 2
             beta = Counter(q_roots)
             beta[ZERO] += 2
-    a = _counter_to_sorted(alpha)
-    b = _counter_to_sorted(beta)
+    a = sorted(alpha.elements())
+    b = sorted(beta.elements())
     if len(a) != n or len(b) != n:
         raise FamilyError(f"{fid}: exponent count {len(a)}/{len(b)} != n")
     return ExponentPair.make(a, b)

@@ -8,11 +8,15 @@ solve and checks three integer identities: g^t G g = G; C g^j v = g^j v +
 G[j][0] v with G[0][0] = -2; and A C = B. It is the only invariant form up to
 scale, because disjoint exponents give an irreducible group (Beukers-Heckman
 1989).
+
+A root carries its coreflection s = 2 G a / (a, a), formed by `root_vector`
+from the one product G a, and `reflect` is the one formula
+r_a(y) = y - (s, y) a that every reflection of a vector goes through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exact import (
@@ -77,6 +81,10 @@ class RootVector:
     vec: tuple[int, ...]
     norm: int
     is_root: bool
+    # 2 G vec / norm for a root, None otherwise (`coreflection`); not part
+    # of the value, which vec and the lattice determine
+    coreflection: tuple[int, ...] | None = field(default=None, compare=False,
+                                                 repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,63 +157,58 @@ _NOT_A_ROOT = "vector is not a k-root; reflection is not integral"
 
 
 def root_vector(l: QuadLattice, vec) -> RootVector:
-    return _root_and_coreflection(l, vec)[0]
-
-
-def _root_and_coreflection(l: QuadLattice, vec):
-    """root_vector(l, vec) and, for a root, its coreflection (None for any
-    other vector), both from the one product G v."""
-    v = [int(x) for x in vec]
+    """v = vec with its norm k = (v, v), whether it is a k-root (2 G v / k
+    integral) and, for a root, its coreflection 2 G v / k, all from the one
+    product G v."""
+    v = tuple([int(x) for x in vec])
     gv = mat_vec(l.gram, v)
     k = dot(v, gv)
     if k == 0 or any((2 * x) % k for x in gv):
-        return RootVector(tuple(v), k, False), None
-    return RootVector(tuple(v), k, True), [2 * x // k for x in gv]
+        return RootVector(v, k, False)
+    return RootVector(v, k, True, tuple([2 * x // k for x in gv]))
 
 
-def coreflection(l: QuadLattice, r: RootVector) -> list[int]:
+def coreflection(r: RootVector) -> tuple[int, ...]:
     """s = 2 G r / (r, r), integral for a k-root, so that the reflection
     y -> y - 2(r,y)/(r,r) r is y -> y - (s, y) r, with matrix I - r s^t."""
-    return _coreflection_of(l, r.vec)
-
-
-def _coreflection_of(l: QuadLattice, vec) -> list[int]:
-    """coreflection(l, root_vector(l, vec)), forming G v once; ValueError
-    unless vec is a root."""
-    s = _root_and_coreflection(l, vec)[1]
-    if s is None:
+    if r.coreflection is None:
         raise ValueError(_NOT_A_ROOT)
-    return s
+    return r.coreflection
+
+
+def reflect(r: RootVector, ys) -> list[tuple[int, ...]]:
+    """The reflections y - (s, y) a of the vectors ys in the root a = r.vec,
+    s its coreflection, at O(n) per vector: the one vector-reflection
+    formula. ValueError unless r is a root."""
+    s = coreflection(r)
+    a = r.vec
+    out = []
+    for y in ys:
+        k = dot(s, y)
+        out.append(tuple([x - k * z for x, z in zip(y, a)]))
+    return out
 
 
 def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:
     """Matrix of y -> y - 2(r,y)/(r,r) r on the lattice basis (integral)."""
-    s = coreflection(l, r)
+    s = coreflection(r)
     return [[(i == j) - x * y for j, y in enumerate(s)]
             for i, x in enumerate(r.vec)]
 
 
 def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
                        m=None) -> list[list[int]]:
-    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2)
-    (`_rank_two_product`)."""
-    return _rank_two_product((a.vec, coreflection(l, a)),
-                             (b.vec, coreflection(l, b)),
-                             identity(l.n) if m is None else m)
-
-
-def _rank_two_product(a, b, m) -> list[list[int]]:
-    """m r_a r_b for a = (a, s_a) and b = (b, s_b), each a root with its
-    coreflection, so a caller that holds s_a forms it once.
+    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2).
 
     With r_x = I - x s_x^t (`coreflection`), r_a r_b is the rank-two update
     I - a s_a^t - r_a(b) s_b^t, so m r_a r_b = m - (m a) s_a^t
     - (m r_a(b)) s_b^t needs two matrix-vector products and no matrix
     product."""
-    (av, sa), (bv, sb) = a, b
-    k = dot(sa, bv)
-    rab = [y - k * x for x, y in zip(av, bv)]
-    ma, mb = mat_vec(m, av), mat_vec(m, rab)
+    sa, sb = coreflection(a), coreflection(b)
+    if m is None:
+        m = identity(l.n)
+    (rab,) = reflect(a, [b.vec])
+    ma, mb = mat_vec(m, a.vec), mat_vec(m, rab)
     return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]
             for row, p, q in zip(m, ma, mb)]
 
@@ -220,7 +223,6 @@ _EXCEPTIONAL_FACTORS: dict[int, list[tuple[int, ...]]] = {
     5: [(2, 3), (4,), (2, 3, 3, 3), (2, 2, 2, 4, 4), (4, 4), (4, 8), (4, 16)],
     7: [(2, 3, 3), (2, 2, 4), (3, 4), (2, 5), (2, 3), (4,)],
     9: [(8,), (4, 4), (3, 4), (4,), (3, 3)],
-    11: [],
     13: [(4,)],
 }
 
@@ -234,7 +236,7 @@ def quotient_gate(l: QuadLattice) -> QuotientGate:
             return QuotientGate(INCONCLUSIVE, f"even lattice, dimension {n} outside the odd >=5 range")
         if two_elementary(l):
             return QuotientGate(INCONCLUSIVE, "even lattice is two-elementary")
-        key = tuple(sorted(l.inv_factors))
+        key = l.inv_factors
         if key in _EXCEPTIONAL_FACTORS.get(n, []):
             return QuotientGate(INCONCLUSIVE,
                                 f"invariant factors {key} are on the exceptional list for dimension {n}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypermono.exact import (
     bilinear,
+    dot,
     identity,
     integer_kernel_and_solution,
     mat_eq,
@@ -38,7 +39,10 @@ from hypermono.distgraph import (
 from hypermono.lattice import (
     EVEN_TYPE,
     ODD_TYPE,
+    RootVector,
+    coreflection,
     invariant_form,
+    reflect,
     reflection,
     reflection_product,
     root_vector,
@@ -623,6 +627,101 @@ def test_reflection_product_is_the_matrix_product(case):
     assert reflection_product(lat, a, b) == mat_mul(ra, rb)
     m = reflection(lat, c)
     assert reflection_product(lat, a, b, m) == mat_mul(m, mat_mul(ra, rb))
+
+
+def _coreflection_oracle(lat, vec):
+    """2 G v / (v, v) in rationals when every entry is an integer, else
+    None: the coreflection of a k-root, and the mark of a non-root."""
+    gv = mat_vec(lat.gram, list(vec))
+    k = dot(list(vec), gv)
+    if k == 0:
+        return None
+    s = tuple(Fraction(2 * x, k) for x in gv)
+    return s if all(x.denominator == 1 for x in s) else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_root_triples())
+def test_root_vector_carries_its_coreflection(case):
+    lat, a, b, c = case
+    vecs = [a.vec, b.vec, c.vec, (0,) * lat.n]
+    vecs += [tuple(x + y for x, y in zip(p.vec, q.vec))
+             for p, q in ((a, b), (b, c), (a, c))]
+    for vec in vecs:
+        r = root_vector(lat, vec)
+        s = _coreflection_oracle(lat, vec)
+        assert r.is_root == (s is not None)
+        assert r.coreflection == s
+        if s is not None:
+            assert coreflection(r) == s
+
+
+def test_root_vector_coreflection_is_none_off_the_roots():
+    lat = family_lattice(FamilyId("N1", 1, 5, 5))
+    for vec in [(0,) * 5, (1, 0, -1, 0, 0), (1, 0, 1, 0, 0)]:
+        r = root_vector(lat, vec)
+        assert not r.is_root and r.coreflection is None
+        assert _coreflection_oracle(lat, vec) is None
+        with pytest.raises(ValueError, match="not a k-root"):
+            coreflection(r)
+        with pytest.raises(ValueError, match="not a k-root"):
+            reflect(r, [vec])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_census_root_triples())
+def test_root_vector_value_is_its_three_fields(case):
+    _, a, _, _ = case
+    bare = RootVector(a.vec, a.norm, a.is_root)
+    assert bare.coreflection is None and a.coreflection is not None
+    assert a == bare and hash(a) == hash(bare)
+    assert repr(a) == repr(bare) == (
+        f"RootVector(vec={a.vec!r}, norm={a.norm!r}, is_root=True)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_root_triples())
+def test_reflect_is_the_reflection_matrix(case):
+    lat, a, b, c = case
+    assert reflect(a, [a.vec]) == [tuple(-x for x in a.vec)]
+    ys = [b.vec, c.vec]
+    assert reflect(a, reflect(a, ys)) == ys
+    ra = reflection(lat, a)
+    assert reflect(a, ys) == [tuple(mat_vec(ra, list(y))) for y in ys]
+
+
+def _counting_root_vector(monkeypatch):
+    calls = []
+
+    def counted(l, vec):
+        calls.append(tuple(vec))
+        return root_vector(l, vec)
+
+    monkeypatch.setattr(distgraph, "root_vector", counted)
+    return calls
+
+
+def test_factorize_path_forms_each_root_once(monkeypatch):
+    calls = _counting_root_vector(monkeypatch)
+    for n in (7, 9):
+        lat = family_lattice(FamilyId("N1", 3, n, n))
+        path = explicit_path_N1_3(n)
+        for p in (path[:1], path[:2], path):
+            calls.clear()
+            factorize_path(config_for(lat), p)
+            assert len(calls) == 3 * len(p) - 2
+
+
+def test_reflected_forms_one_root(monkeypatch):
+    lat = family_lattice(FamilyId("N1", 1, 7, 7))
+    cfg = config_for(lat)
+    e0 = _e(lat.n, 0)
+    near = neighbors(cfg, e0)
+    calls = _counting_root_vector(monkeypatch)
+    for w in near[:3]:
+        calls.clear()
+        assert distgraph._reflected(cfg, e0, w, near) == neighbors(cfg, w)
+        assert calls == [tuple(x - y for x, y in zip(e0, w))]
 
 
 def _shift_norm(g, u, w):

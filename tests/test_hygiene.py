@@ -11,6 +11,10 @@ math.sqrt/floor/ceil in the modules whose results certify something.
 search modules (`levelt`, `lattice`, `distgraph`) and the growth enumeration
 work in integers alone and must not name `Fraction`.
 
+No module imports a `_`-prefixed name from another hypermono module, at
+any depth: what one module shares with another is public. The scripts and
+the benchmark are outside the package and exempt.
+
 It also checks that every function the benchmark tracer wraps by name
 (`SPANNED` in bench/tracing.py) still exists, since `--trace 1` looks each
 one up with getattr.
@@ -139,6 +143,39 @@ def test_detects_floating_point():
     assert sorted(float_uses(src)) == [
         "float literal 1e-06 (line 3)", "float( call (line 3)",
         "math.ceil (line 3)", "math.floor (line 2)", "math.sqrt (line 3)"]
+
+
+def private_imports(source: str) -> list[str]:
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "hypermono":
+            continue
+        hits += [(node.lineno, f"{a.name} from {module} (line {node.lineno})")
+                 for a in node.names
+                 if a.name.startswith("_") and not a.name.startswith("__")]
+    return [hit for _, hit in sorted(hits)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_private_import():
+    src = ("from __future__ import annotations\n"
+           "from os import _exit\n"
+           "from .lattice import reflect, _helper\n"
+           "from hypermono.exponents import _candidate_ids\n"
+           "from . import __version__\n"
+           "def f():\n"
+           "    from .exact import _inner\n")
+    assert private_imports(src) == [
+        "_helper from .lattice (line 3)",
+        "_candidate_ids from hypermono.exponents (line 4)",
+        "_inner from .exact (line 7)"]
 
 
 def fraction_uses(source: str) -> list[str]:
