@@ -243,14 +243,14 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
             raise AssertionError("factorization roots have the wrong norm")
         if not (a.is_root and b.is_root):
             raise AssertionError("factorization roots are not integral roots")
-        if not mat_eq(reflection_product(lat, u, w, one),
-                      reflection_product(lat, a, b, one)):
+        if not mat_eq(reflection_product(u, w, one),
+                      reflection_product(a, b, one)):
             raise AssertionError("reflection product identity failed")
         if reflect(a, [u.vec]) != [w.vec]:
             raise AssertionError("r_{u-w} does not swap the edge endpoints")
         pairs.append((a, b))
-        telescoped = reflection_product(lat, a, b, telescoped)
-    if verts and not mat_eq(reflection_product(lat, verts[0], verts[-1], one),
+        telescoped = reflection_product(a, b, telescoped)
+    if verts and not mat_eq(reflection_product(verts[0], verts[-1], one),
                             telescoped):
         raise AssertionError("telescoped product identity failed")
     return FactorizationWitness(tuple(pairs))
@@ -353,5 +353,5 @@ def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:
     out = []
     for w in neighbors(cfg, u):
         r = root_vector(cfg.lattice, vec_sub(u, w))
-        out.append(reflection(cfg.lattice, r))
+        out.append(reflection(r))
     return out

@@ -1,5 +1,5 @@
-"""Exact rational/integer linear algebra, cyclotomic polynomials, Smith normal
-form, integral LLL, short-vector enumeration, and the breadth-first word
+"""Exact rational/integer linear algebra, cyclotomic polynomials, the Smith
+diagonal, integral LLL, short-vector enumeration, and the breadth-first word
 enumeration that the growth probe and the rank-3 checks share. Given each
 generator's inverse, that enumeration skips the product of an element with
 the inverse of its last letter, which only leads back to its parent; the
@@ -9,8 +9,11 @@ Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are sequences of rows over int or Fraction and
 vectors sequences of entries, lists or the tuples that the frozen
 dataclasses store, read in place. An input is copied only to be worked on:
-the basis by `lll_reduce`, the matrix by `smith_normal_form`, and a Fraction
-copy by each rational elimination (`mat_inv`, `mat_det`, `nullspace`).
+the basis by `lll_reduce`, the matrix by `smith_normal_form` (which forms
+no transforms), and a Fraction copy by each rational elimination (`mat_inv`,
+`mat_det`, `nullspace`). Of those eliminations the package calls only
+`mat_inv`, for the growth generators' inverses; `mat_det` and `nullspace`
+serve the tests.
 `flat_mat_mul`, the product of the growth and Dirichlet word enumerations,
 takes flat row-major tuples, of ints or of the Dirichlet regions' floats.
 Nothing else here uses floating point: enumerate_short_vectors walks the
@@ -343,48 +346,21 @@ def word_bfs(start, gens, mul, key, depth: int, keep=None, inverse=None):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith diagonal, and the integer solutions of one linear equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SNFResult:
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+def smith_normal_form(m: Mat) -> tuple[int, ...]:
+    """The Smith diagonal d1 | d2 | ... of a rectangular integer matrix m:
+    the min(rows, cols) nonnegative entries of L m R = D for unimodular L
+    and R, which are not formed (D is unique, L and R are not).
 
-
-def smith_normal_form(m: Mat) -> SNFResult:
-    """left * m * right diagonal with d1 | d2 | ..., left/right unimodular.
-
-    Works for any rectangular integer matrix; diagonal has min(rows, cols)
-    entries, nonnegative.
-    """
+    Row and column operations on a copy of m: each step brings the entry
+    of least nonzero |value| to the pivot, clears the pivot's row and
+    column, and repeats until the pivot divides what is left of them and
+    of the block below."""
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    left = identity(rows)
-    right = identity(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            right[r][i] -= q * right[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
-
     s = 0
     while s < min(rows, cols):
         if all(a[i][j] == 0 for i in range(s, rows) for j in range(s, cols)):
@@ -398,68 +374,73 @@ def smith_normal_form(m: Mat) -> SNFResult:
                     if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
                         best = (abs(a[i][j]), i, j)
             _, bi, bj = best
-            if bi != s:
-                row_swap(s, bi)
+            a[s], a[bi] = a[bi], a[s]
+            # rows above s are zero from column s on: column operations
+            # run over rows s.. only
             if bj != s:
-                col_swap(s, bj)
+                for row in a[s:]:
+                    row[s], row[bj] = row[bj], row[s]
             # clear the edging; restart if a remainder creates a smaller pivot
+            p = a[s]
             dirty = False
             for i in range(s + 1, rows):
-                q, r = divmod(a[i][s], a[s][s])
+                q, r = divmod(a[i][s], p[s])
                 if q:
-                    row_op(i, s, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], p)]
                 if r:
                     dirty = True
             for j in range(s + 1, cols):
-                q, r = divmod(a[s][j], a[s][s])
+                q, r = divmod(p[j], p[s])
                 if q:
-                    col_op(j, s, q)
+                    for row in a[s:]:
+                        row[j] -= q * row[s]
                 if r:
                     dirty = True
             if dirty:
                 continue
             # pivot must divide the remaining block
-            witness = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if a[i][j] % a[s][s] != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            witness = next((i for i in range(s + 1, rows)
+                            if any(x % p[s] for x in a[i][s + 1:])), None)
             if witness is None:
                 break
-            row_op(s, witness, -1)  # add the offending row, loop again
-        if a[s][s] < 0:
-            a[s] = [-x for x in a[s]]
-            left[s] = [-x for x in left[s]]
+            a[s] = [x + y for x, y in zip(p, a[witness])]
         s += 1
-
-    diag = [a[i][i] if i < cols else 0 for i in range(min(rows, cols))]
-    return SNFResult(tuple(diag),
-                     tuple(tuple(r) for r in left),
-                     tuple(tuple(r) for r in right))
+    return tuple(abs(a[i][i]) for i in range(min(rows, cols)))
 
 
 def integer_kernel_and_solution(row: list[int], target: int):
     """Solve row . x = target over Z.
 
-    Returns (x0, kernel_basis) where kernel_basis is a list of integer
-    vectors spanning {x : row . x = 0}; x0 is None when no solution exists.
-    """
+    Returns (x0, kernel_basis): kernel_basis is a Z-basis of
+    {x : row . x = 0}, and x0 is None when no solution exists.
+
+    Euclid's algorithm on all columns at once, starting from the unit
+    columns: the column of least nonzero |row . col| moves to the front as
+    the pivot p, and every other column c becomes c - q p with
+    q = floor(row . c / row . p), until no other column pairs nonzero.
+    Each step is a unimodular column operation, so the columns stay a
+    basis of Z^n: row . p = +-gcd(row) = d, x0 = (target / d) p, and the
+    other columns are a basis of the kernel. Pivoting on the least value
+    keeps the kernel vectors short for the LLL that reduces them."""
     n = len(row)
     if all(x == 0 for x in row):
         x0 = [0] * n if target == 0 else None
         return x0, identity(n)
-    snf = smith_normal_form([row])
-    d = snf.diagonal[0]
-    cols = transpose(snf.right)
-    sign = snf.left[0][0]  # +-1
-    if target * sign % d != 0:
-        x0 = None
-    else:
-        t = target * sign // d
-        x0 = [t * x for x in cols[0]]
+    cols = identity(n)
+    vals = list(row)  # vals[i] = row . cols[i]
+    while True:
+        p = min((i for i in range(n) if vals[i]), key=lambda i: abs(vals[i]))
+        vals[0], vals[p] = vals[p], vals[0]
+        cols[0], cols[p] = cols[p], cols[0]
+        for i in range(1, n):
+            q = vals[i] // vals[0]
+            if q:
+                vals[i] -= q * vals[0]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[0])]
+        if not any(vals[1:]):
+            break
+    d = vals[0]
+    x0 = None if target % d else [target // d * x for x in cols[0]]
     return x0, cols[1:]
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import exact
-from .exact import flatten, identity, smith_normal_form, word_bfs
+from .exact import flatten, identity, mat_inv, mat_to_int, word_bfs
 
 _NOT_UNIMODULAR = "growth generators must be unimodular integer matrices"
 
@@ -23,16 +23,17 @@ def _frob_sq(t) -> int:
 
 
 def _inverse(g) -> list[list[int]]:
-    """Integer inverse of a unimodular g: with Smith form L g R = I,
-    g^-1 = R L. Raises ValueError for anything else."""
+    """Integer inverse of a unimodular g, the exact rational inverse: an
+    integer matrix has an integral inverse exactly when its determinant is
+    +-1. Raises ValueError for anything else."""
     n = len(g)
     if n == 0 or any(len(row) != n or any(x != int(x) for x in row)
                      for row in g):
         raise ValueError(_NOT_UNIMODULAR)
-    snf = smith_normal_form(g)
-    if any(d != 1 for d in snf.diagonal):
-        raise ValueError(_NOT_UNIMODULAR)
-    return exact.mat_mul(snf.right, snf.left)
+    try:
+        return mat_to_int(mat_inv(g))
+    except ValueError:  # singular, or an entry of the inverse not integral
+        raise ValueError(_NOT_UNIMODULAR) from None
 
 
 def closure_under_inverse(generators):

@@ -16,7 +16,7 @@ r_a(y) = y - (s, y) a that every reflection of a vector goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import (
@@ -57,10 +57,10 @@ class QuadLattice:
 
     @cached_property
     def inv_factors(self) -> tuple[int, ...]:
-        """The nontrivial (> 1) invariant factors, sorted, from the Smith
-        normal form on first read: the odd-type gate never reads them."""
-        return tuple(sorted(d for d in smith_normal_form(self.gram).diagonal
-                            if d > 1))
+        """The nontrivial (> 1) invariant factors, from the Smith diagonal
+        (`smith_normal_form`, already sorted by divisibility) on first read:
+        the odd-type gate never reads them."""
+        return tuple(d for d in smith_normal_form(self.gram) if d > 1)
 
     @classmethod
     def from_gram(cls, gram) -> "QuadLattice":
@@ -78,13 +78,21 @@ class QuadLattice:
 
 @dataclass(frozen=True)
 class RootVector:
+    """A lattice vector v, its norm k = (v, v) and, when v is a k-root, its
+    coreflection 2 G v / k (`root_vector` forms all three). It is a root
+    exactly when it carries a coreflection; the repr names that in place
+    of the coreflection."""
     vec: tuple[int, ...]
     norm: int
-    is_root: bool
-    # 2 G vec / norm for a root, None otherwise (`coreflection`); not part
-    # of the value, which vec and the lattice determine
-    coreflection: tuple[int, ...] | None = field(default=None, compare=False,
-                                                 repr=False)
+    coreflection: tuple[int, ...] | None = None
+
+    @property
+    def is_root(self) -> bool:
+        return self.coreflection is not None
+
+    def __repr__(self) -> str:
+        return (f"RootVector(vec={self.vec!r}, norm={self.norm!r}, "
+                f"is_root={self.is_root!r})")
 
 
 @dataclass(frozen=True)
@@ -164,8 +172,8 @@ def root_vector(l: QuadLattice, vec) -> RootVector:
     gv = mat_vec(l.gram, v)
     k = dot(v, gv)
     if k == 0 or any((2 * x) % k for x in gv):
-        return RootVector(v, k, False)
-    return RootVector(v, k, True, tuple([2 * x // k for x in gv]))
+        return RootVector(v, k)
+    return RootVector(v, k, tuple([2 * x // k for x in gv]))
 
 
 def coreflection(r: RootVector) -> tuple[int, ...]:
@@ -189,14 +197,14 @@ def reflect(r: RootVector, ys) -> list[tuple[int, ...]]:
     return out
 
 
-def reflection(l: QuadLattice, r: RootVector) -> list[list[int]]:
+def reflection(r: RootVector) -> list[list[int]]:
     """Matrix of y -> y - 2(r,y)/(r,r) r on the lattice basis (integral)."""
     s = coreflection(r)
     return [[(i == j) - x * y for j, y in enumerate(s)]
             for i, x in enumerate(r.vec)]
 
 
-def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
+def reflection_product(a: RootVector, b: RootVector,
                        m=None) -> list[list[int]]:
     """Matrix of m r_a r_b, m the identity when omitted, in O(n^2).
 
@@ -206,7 +214,7 @@ def reflection_product(l: QuadLattice, a: RootVector, b: RootVector,
     product."""
     sa, sb = coreflection(a), coreflection(b)
     if m is None:
-        m = identity(l.n)
+        m = identity(len(a.vec))
     (rab,) = reflect(a, [b.vec])
     ma, mb = mat_vec(m, a.vec), mat_vec(m, rab)
     return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]

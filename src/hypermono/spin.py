@@ -79,18 +79,15 @@ def word_search(generators, target, max_len: int):
         gens.append(([[d, -b], [-c, a]], (i, -1)))
     target = mat_to_int(target)
 
-    def key(m):
-        return tuple(x for row in m for x in row)
-
     def step(state, gen):
-        # state: (key, matrix, word)
+        # state: (flat key, matrix, word)
         prod = mat_mul(state[1], gen[0])
-        return key(prod), prod, state[2] + (gen[1],)
+        return flatten(prod), prod, state[2] + (gen[1],)
 
     ident = [[1, 0], [0, 1]]
-    goal = {key(target), key(mat_neg(target))}
+    goal = {flatten(target), flatten(mat_neg(target))}
     # gens[2i + 1] is the inverse of gens[2i]
-    states = word_bfs((key(ident), ident, ()), gens, step, itemgetter(0),
+    states = word_bfs((flatten(ident), ident, ()), gens, step, itemgetter(0),
                       max_len, inverse=[i ^ 1 for i in range(len(gens))])
     for _, (k, _, word) in states:
         if k in goal:

@@ -525,10 +525,10 @@ def test_lemma_basic_property_suite():
                     g = [list(r) for r in lat.gram]
                     assert bilinear(g, a, a) == root_norm
                     assert bilinear(g, b, b) == root_norm
-                    ra = reflection(lat, root_vector(lat, a))
-                    rb = reflection(lat, root_vector(lat, b))
-                    ru = reflection(lat, root_vector(lat, list(u)))
-                    rw = reflection(lat, root_vector(lat, list(w)))
+                    ra = reflection(root_vector(lat, a))
+                    rb = reflection(root_vector(lat, b))
+                    ru = reflection(root_vector(lat, list(u)))
+                    rw = reflection(root_vector(lat, list(w)))
                     assert mat_eq(mat_mul(ru, rw), mat_mul(ra, rb))
                     assert mat_vec(ra, list(u)) == list(w)
                     count += 1
@@ -596,7 +596,7 @@ def _census_roots(index):
         vecs.append(tuple(x - mult * y for x, y in zip(e0, w)))
     roots = [root_vector(lat, v) for v in vecs]
     assert all(r.is_root for r in roots)
-    return lat, roots, [reflection(lat, r) for r in roots[:n]]
+    return lat, roots, [reflection(r) for r in roots[:n]]
 
 
 def test_rank_two_census_lattices_have_both_parities():
@@ -621,12 +621,12 @@ def _census_root_triples(draw):
 @settings(max_examples=200, deadline=None)
 @given(_census_root_triples())
 def test_reflection_product_is_the_matrix_product(case):
-    lat, a, b, c = case
+    _, a, b, c = case
     assert a.is_root and b.is_root and c.is_root
-    ra, rb = reflection(lat, a), reflection(lat, b)
-    assert reflection_product(lat, a, b) == mat_mul(ra, rb)
-    m = reflection(lat, c)
-    assert reflection_product(lat, a, b, m) == mat_mul(m, mat_mul(ra, rb))
+    ra, rb = reflection(a), reflection(b)
+    assert reflection_product(a, b) == mat_mul(ra, rb)
+    m = reflection(c)
+    assert reflection_product(a, b, m) == mat_mul(m, mat_mul(ra, rb))
 
 
 def _coreflection_oracle(lat, vec):
@@ -671,12 +671,20 @@ def test_root_vector_coreflection_is_none_off_the_roots():
 @settings(max_examples=50, deadline=None)
 @given(_census_root_triples())
 def test_root_vector_value_is_its_three_fields(case):
+    # vec, norm and coreflection; is_root is read off the coreflection, so
+    # a hand-built RootVector is a root exactly when it carries one
     _, a, _, _ = case
-    bare = RootVector(a.vec, a.norm, a.is_root)
-    assert bare.coreflection is None and a.coreflection is not None
-    assert a == bare and hash(a) == hash(bare)
-    assert repr(a) == repr(bare) == (
+    same = RootVector(a.vec, a.norm, a.coreflection)
+    assert same.is_root and a == same and hash(a) == hash(same)
+    assert reflect(same, [a.vec]) == reflect(a, [a.vec])
+    bare = RootVector(a.vec, a.norm)
+    assert not bare.is_root and bare != a
+    with pytest.raises(ValueError, match="not a k-root"):
+        reflect(bare, [a.vec])
+    assert repr(a) == repr(same) == (
         f"RootVector(vec={a.vec!r}, norm={a.norm!r}, is_root=True)")
+    assert repr(bare) == (
+        f"RootVector(vec={a.vec!r}, norm={a.norm!r}, is_root=False)")
 
 
 @settings(max_examples=100, deadline=None)
@@ -686,7 +694,7 @@ def test_reflect_is_the_reflection_matrix(case):
     assert reflect(a, [a.vec]) == [tuple(-x for x in a.vec)]
     ys = [b.vec, c.vec]
     assert reflect(a, reflect(a, ys)) == ys
-    ra = reflection(lat, a)
+    ra = reflection(a)
     assert reflect(a, ys) == [tuple(mat_vec(ra, list(y))) for y in ys]
 
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from hypermono.exact import (
     LLL_DELTA,
-    SNFResult,
     bilinear,
     cyclotomic_poly,
+    dot,
     enumerate_short_vectors,
     euler_phi,
     flat_mat_mul,
     identity,
+    integer_kernel_and_solution,
     integral_gram_schmidt,
     lll_reduce,
     mat_det,
@@ -44,43 +45,45 @@ def test_cyclotomic_poly_divides_zd_minus_1():
 
 
 def _check_snf(m):
-    res = smith_normal_form(m)
-    assert isinstance(res, SNFResult)
+    # the reference's own check: its transforms are unimodular, L m R = D
+    diag, left, right = oracle_smith_normal_form(m)
     n = len(m)
-    prod = mat_mul(mat_mul(res.left, m), res.right)
+    prod = mat_mul(mat_mul(left, m), right)
     for i in range(n):
         for j in range(len(m[0])):
-            expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
+            expect = diag[i] if i == j and i < len(diag) else 0
             assert prod[i][j] == expect
-    for a, b in zip(res.diagonal, res.diagonal[1:]):
+    for a, b in zip(diag, diag[1:]):
         if b:
             assert a != 0 and b % a == 0
-    assert abs(mat_det(res.left)) == 1
-    assert abs(mat_det(res.right)) == 1
-    return res
+    assert abs(mat_det(left)) == 1
+    assert abs(mat_det(right)) == 1
+    assert smith_normal_form(m) == diag
+    return diag
 
 
 def test_snf_examples():
-    assert _check_snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).diagonal == (1, 1, 1)
-    assert _check_snf([[2, 1], [1, 2]]).diagonal == (1, 3)
-    assert _check_snf([[2, 0], [0, 4]]).diagonal == (2, 4)
+    assert _check_snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
+    assert _check_snf([[2, 1], [1, 2]]) == (1, 3)
+    assert _check_snf([[2, 0], [0, 4]]) == (2, 4)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_snf_random(m):
-    res = _check_snf(m)
+    diag = _check_snf(m)
     det = mat_det(m)
     prod = 1
-    for d in res.diagonal:
+    for d in diag:
         prod *= d
     assert prod == abs(det)
 
 
 def oracle_smith_normal_form(m):
-    """smith_normal_form with its two edge-clearing branches apart, as it
-    was written before they were merged."""
+    """(diagonal, left, right) with left * m * right diagonal, left and
+    right unimodular: the Smith normal form with both transforms, its two
+    edge-clearing branches apart."""
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -154,9 +157,8 @@ def oracle_smith_normal_form(m):
         s += 1
 
     diag = [a[i][i] if i < cols else 0 for i in range(min(rows, cols))]
-    return SNFResult(tuple(diag),
-                     tuple(tuple(r) for r in left),
-                     tuple(tuple(r) for r in right))
+    return (tuple(diag), tuple(tuple(r) for r in left),
+            tuple(tuple(r) for r in right))
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,9 +169,35 @@ def oracle_smith_normal_form(m):
 @example([[6, 4, 10]])
 @example([[4], [6], [-9]])
 def test_snf_matches_oracle(m):
-    # the same row and column operations: diagonal, left and right agree
-    assert smith_normal_form(m) == oracle_smith_normal_form(m)
+    # the diagonal is unique, so the transform-free form returns the oracle's
+    assert smith_normal_form(m) == oracle_smith_normal_form(m)[0]
     assert smith_normal_form(tuple(map(tuple, m))) == smith_normal_form(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+       st.integers(-200, 200))
+@example([0], 0)
+@example([0], 3)
+@example([0, 0, 0], 0)
+@example([0, 0, 0], -5)
+@example([0, 6, 0, -4, 10], 2)
+@example([-3, 0], 7)
+def test_integer_kernel_and_solution(row, target):
+    g = gcd(*row)
+    for t in (target, target * g):
+        x0, kernel = integer_kernel_and_solution(row, t)
+        assert (x0 is None) == (t % g != 0 if g else t != 0)
+        if x0 is not None:
+            assert len(x0) == len(row) and dot(row, x0) == t
+    assert all(len(k) == len(row) and dot(row, k) == 0 for k in kernel)
+    # with one x1 of row . x1 = gcd the kernel is a basis of Z^n, so the
+    # kernel vectors are a Z-basis of the kernel, not only a Q-basis
+    basis = list(kernel)
+    if g:
+        x1, _ = integer_kernel_and_solution(row, g)
+        basis.append(x1)
+    assert len(basis) == len(row) and abs(mat_det(basis)) == 1
 
 
 def test_signature_examples():

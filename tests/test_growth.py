@@ -80,8 +80,12 @@ def test_saturated_word_limit_stabilizes_count():
     assert a == b
 
 
-@pytest.mark.parametrize("gens", [g for _, g in GROWTH_CASES],
-                         ids=[name for name, _ in GROWTH_CASES])
+# a det -1 generator is unimodular too
+CLOSURE_CASES = GROWTH_CASES + [("det -1", [[[2, 1], [1, 0]]])]
+
+
+@pytest.mark.parametrize("gens", [g for _, g in CLOSURE_CASES],
+                         ids=[name for name, _ in CLOSURE_CASES])
 def test_closure_under_inverse_holds_inverses(gens):
     closed = closure_under_inverse(gens)
     ident = identity(len(gens[0]))

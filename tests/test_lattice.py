@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_exact import oracle_smith_normal_form
 
 from hypermono import lattice
 from hypermono.distgraph import certify
@@ -292,7 +293,7 @@ def test_reflections_preserve_gram():
     g = [list(r) for r in lat.gram]
     for i in range(lat.n):
         e = [1 if j == i else 0 for j in range(lat.n)]
-        r = reflection(lat, root_vector(lat, e))
+        r = reflection(root_vector(lat, e))
         assert mat_eq(mat_mul(r, r), identity(lat.n))
         assert mat_eq(mat_mul(mat_mul(transpose(r), g), r), g)
 
@@ -317,10 +318,29 @@ def test_invariant_factors_are_formed_on_first_read(monkeypatch):
     assert certify(m).path is not None and calls == []
     lat = invariant_form(m)
     assert lat.parity == ODD_TYPE and calls == []
-    want = tuple(sorted(d for d in real(lat.gram).diagonal if d > 1))
+    want = tuple(sorted(d for d in real(lat.gram) if d > 1))
     assert lat.inv_factors == want
     assert lat.inv_factors == want and len(calls) == 1  # formed once
     assert QuadLattice.from_gram(lat.gram) == lat
+
+
+def test_inv_factors_match_the_transform_oracle():
+    # the factors > 1 on the diagonal of the Smith form that carries both
+    # transforms, on every hyperbolic family lattice for odd n = 5..15
+    count = 0
+    for n in range(5, 16, 2):
+        for fid in _candidate_ids(n):
+            try:
+                m = build(make_family(fid))
+            except FamilyError:
+                continue
+            if not classify(m.pair).hyperbolic:
+                continue
+            lat = invariant_form(m)
+            diag, _, _ = oracle_smith_normal_form(lat.gram)
+            assert lat.inv_factors == tuple(d for d in diag if d > 1), fid
+            count += 1
+    assert count == 341
 
 
 def test_quotient_gate_even():
@@ -355,7 +375,7 @@ def test_diag_fixture_reflection():
     assert lat.parity is None  # mixed diagonal parity pattern is allowed here
     u = root_vector(lat, [1, 1, 1, 4])
     assert u.norm == 1 and u.is_root
-    ru = reflection(lat, u)
+    ru = reflection(u)
     assert mat_eq(mat_mul(ru, ru), identity(4))
     # both printed isometries preserve f
     for mtx in (FIX_H, FIX_GMAT):

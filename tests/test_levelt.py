@@ -187,7 +187,7 @@ def test_hr_generators_match_root_reflections():
             # Cartan involution is minus the reflection in g^i v
             hl = mat_to_int(mat_mul(mat_mul(tinv, h), t))
             e = [1 if j == i else 0 for j in range(m.n)]
-            r = reflection(lat, root_vector(lat, e))
+            r = reflection(root_vector(lat, e))
             assert hl == [[-x for x in row] for row in r]
             assert mat_eq(mat_mul(h, h), identity(m.n))
 
