@@ -14,8 +14,9 @@ no transforms), and a Fraction copy by each rational elimination (`mat_inv`,
 `mat_det`, `nullspace`). Of those eliminations the package calls only
 `mat_inv`, for the growth generators' inverses; `mat_det` and `nullspace`
 serve the tests.
-`flat_mat_mul`, the product of the growth and Dirichlet word enumerations,
-takes flat row-major tuples, of ints or of the Dirichlet regions' floats.
+`flat_mat_mul`, the product of the Dirichlet word enumeration and of the
+growth letters that are not companion matrices, takes flat row-major
+tuples, of ints or of the Dirichlet regions' floats.
 Nothing else here uses floating point: enumerate_short_vectors walks the
 integer points on one ellipsoid Q(x + o) = bound of a positive definite
 integer form, taking the form's integral Gram-Schmidt data (as

@@ -1,5 +1,15 @@
 """Empirical ball-growth probe: breadth-first enumeration of group elements
-with trace(g^t g) <= T^2 and a log-log least-squares slope fit."""
+with trace(g^t g) <= T^2 and a log-log least-squares slope fit.
+
+The enumeration carries each element as its columns in one flat tuple with
+its squared Frobenius norm trace(g^t g) appended. The paper's groups are
+hypergeometric, generated by the companion matrices A and B of two
+polynomials (Levelt's theorem), so their letters are companion matrices and
+their inverses. Right-multiplying by one keeps all columns but one, shifted
+by one place, and forms one new column; the new norm is the old one less
+the dropped column's and plus the new column's, in exact integers. The 3 x 3
+case, that of the paper's examples, takes this step unrolled; every other
+letter is a full product."""
 
 from __future__ import annotations
 
@@ -8,18 +18,46 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
-from . import exact
-from .exact import flatten, identity, mat_inv, mat_to_int, word_bfs
+from .exact import (flat_mat_mul, flatten, identity, mat_inv, mat_to_int,
+                    word_bfs)
 
 _NOT_UNIMODULAR = "growth generators must be unimodular integer matrices"
 
-# the shared flat product, bound here as `mat_mul` and looked up at call
-# time, so that a tracer or a test can replace it for growth alone
-mat_mul = exact.flat_mat_mul
+
+def mat_mul(x: tuple, g: tuple) -> tuple:
+    """x * g, for a group element x (its columns as one flat tuple, its
+    squared Frobenius norm appended) and a letter g from _letter, in the
+    same format. Growth's one product: looked up at call time, so that a
+    tracer or a test can replace it for growth alone."""
+    forward, c = g
+    if forward is None:
+        y = flat_mat_mul(c, x[:-1])  # (x g)^t = g^t x^t, row-major
+        return y + (sum(map(mul, y, y)),)
+    c0, c1, c2 = c
+    a0, a1, a2, b0, b1, b2, d0, d1, d2, s = x
+    y0 = a0 * c0 + b0 * c1 + d0 * c2
+    y1 = a1 * c0 + b1 * c1 + d1 * c2
+    y2 = a2 * c0 + b2 * c1 + d2 * c2
+    if forward:  # columns (e1, e2, c): drop the first, append x c
+        return (b0, b1, b2, d0, d1, d2, y0, y1, y2,
+                s - a0 * a0 - a1 * a1 - a2 * a2 + y0 * y0 + y1 * y1 + y2 * y2)
+    # columns (c, e0, e1): prepend x c, drop the last
+    return (y0, y1, y2, a0, a1, a2, b0, b1, b2,
+            s - d0 * d0 - d1 * d1 - d2 * d2 + y0 * y0 + y1 * y1 + y2 * y2)
 
 
-def _frob_sq(t) -> int:
-    return sum(map(mul, t, t))
+def _letter(g) -> tuple:
+    """The integer matrix g prepared for mat_mul: (True, c) for a 3 x 3
+    companion matrix, whose columns are e1, e2, c; (False, c) for the
+    inverse of one, whose columns are c, e0, e1; (None, the columns of g
+    as one flat tuple) for any other."""
+    cols = tuple(zip(*g))
+    if len(cols) == 3:
+        if cols[:2] == ((0, 1, 0), (0, 0, 1)):
+            return True, cols[2]
+        if cols[1:] == ((1, 0, 0), (0, 1, 0)):
+            return False, cols[0]
+    return None, flatten(cols)
 
 
 def _inverse(g) -> list[list[int]]:
@@ -83,13 +121,13 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
     if not gens:
         raise ValueError("at least one generator required")
     prune_sq = (margin * t) ** 2
-    # flat row-major tuples, each its own dedupe key; keep runs on every
-    # product, so it inlines _frob_sq
-    ball = word_bfs(flatten(identity(len(gens[0]))),
-                    [flatten(g) for g in gens], mat_mul, tuple, depth,
-                    keep=lambda g: sum(map(mul, g, g)) <= prune_sq,
+    n = len(gens[0])
+    # the identity is its own transpose, of squared norm n; each element
+    # is its own dedupe key, as its norm is a function of its entries
+    ball = word_bfs(flatten(identity(n)) + (n,), [_letter(g) for g in gens],
+                    mat_mul, tuple, depth, keep=lambda g: g[-1] <= prune_sq,
                     inverse=inverse)
-    return ((length, _frob_sq(g)) for length, g in ball)
+    return ((length, g[-1]) for length, g in ball)
 
 
 def enumerate_ball(generators, t: int, word_limit: int, *,

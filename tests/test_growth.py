@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_word_bfs import GROWTH_CASES
 
 from hypermono import growth
-from hypermono.exact import identity, mat_mul
+from hypermono.exact import flat_mat_mul, flatten, identity, mat_mul
 from hypermono.growth import (
     closure_under_inverse,
     enumerate_ball,
@@ -11,6 +13,7 @@ from hypermono.growth import (
     growth_run,
     saturated_word_limit,
 )
+from hypermono.levelt import companion_matrix
 
 # a small hyperbolic pair: the 2x2 generators of a free-ish subgroup of
 # SL2(Z) give visible exponential word growth, while the identity alone
@@ -107,3 +110,25 @@ def test_growth_rejects_generators_of_two_sizes(monkeypatch):
     monkeypatch.setattr(growth, "mat_mul", None)
     with pytest.raises(ValueError, match="must all have the same size"):
         growth_run([GEN_A, identity(3)], 3, 30, 5, 6)
+
+
+def _columns(flat):
+    """The columns of a flat row-major 3 x 3 matrix as one flat tuple."""
+    return flat[0::3] + flat[1::3] + flat[2::3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((-1, 1)), st.integers(-1000, 1000),
+       st.integers(-1000, 1000), st.booleans(),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=9, max_size=9))
+def test_companion_letter_product(c0, c1, c2, invert, x):
+    g = companion_matrix([c0, c1, c2, 1])
+    if invert:
+        g = growth._inverse(g)
+    letter = growth._letter(g)
+    assert letter[0] is not invert  # the companion step, not the full one
+    x = tuple(x)
+    want = _columns(flat_mat_mul(x, flatten(g)))
+    got = growth.mat_mul(_columns(x) + (sum(v * v for v in x),), letter)
+    assert got[:-1] == want
+    assert got[-1] == sum(v * v for v in want)

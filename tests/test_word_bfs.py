@@ -15,7 +15,7 @@ import pytest
 
 from hypermono import growth
 from hypermono.appendix_data import EXAMPLES
-from hypermono.exact import mat_inv, mat_mul, mat_neg, word_bfs
+from hypermono.exact import flat_mat_mul, mat_inv, mat_mul, mat_neg, word_bfs
 from hypermono.growth import (
     closure_under_inverse,
     enumerate_ball,
@@ -23,6 +23,7 @@ from hypermono.growth import (
     growth_run,
     saturated_word_limit,
 )
+from hypermono.levelt import companion_matrix
 from hypermono.spin import (
     DirichletRegion,
     _det2,
@@ -325,6 +326,14 @@ def _growth_cases():
         if ex.isotropic:
             cases.append((f"ex{i} X,Y", [[list(map(int, r)) for r in ex.X],
                                          [list(map(int, r)) for r in ex.Y]]))
+    # the companion matrices of (z - 1)^4 and z^4 + 1: at n = 4 every
+    # letter takes the full product
+    cases.append(("4x4 A,B", [companion_matrix([1, -4, 6, -4, 1]),
+                              companion_matrix([1, 0, 0, 0, 1])]))
+    # ex6's group again, from its companion matrix A and the non-companion
+    # A B: words mix the companion steps with the full product
+    a, b = dict(cases)["ex6 A,B"]
+    cases.append(("ex6 A,AB", [a, mat_mul(a, b)]))
     return cases
 
 
@@ -364,7 +373,7 @@ def _flat_ball(generators, depth, prune_sq, inverse=None):
             for g in closure_under_inverse(generators)]
     n = math.isqrt(len(gens[0]))
     start = tuple(int(i == j) for i in range(n) for j in range(n))
-    return list(word_bfs(start, gens, growth.mat_mul, tuple, depth,
+    return list(word_bfs(start, gens, flat_mat_mul, tuple, depth,
                          keep=lambda g: sum(x * x for x in g) <= prune_sq,
                          inverse=inverse))
 
@@ -388,6 +397,26 @@ def test_skipping_backtracks_changes_no_growth_word(generators):
     for depth, prune_sq in ((0, 10 ** 6), (6, 10 ** 12), (12, 40 ** 2)):
         assert (_flat_ball(generators, depth, prune_sq, inverse)
                 == _flat_ball(generators, depth, prune_sq))
+
+
+NORM_STREAM_CASES = [
+    pytest.param(g, t, depth, id=f"{name} T={t} depth={depth}")
+    for name, g in GROWTH_CASES for t, depth in ((20, 6), (60, 7))
+] + [pytest.param(dict(GROWTH_CASES)["ex6 A,B"], 10 ** 4, 12,
+                  id="ex6 A,B T=10000 depth=12")]
+
+
+@pytest.mark.parametrize("generators, t, depth", NORM_STREAM_CASES)
+def test_norm_stream_matches_row_major_products(generators, t, depth):
+    # the same letters in the same order, multiplied as row-major flat
+    # tuples, each norm a sum of squares
+    inverse = growth._closure_and_inverse(generators)[1]
+    want = [(length, sum(x * x for x in g)) for length, g in
+            _flat_ball(generators, depth, (4 * t) ** 2, inverse)]
+    got = list(growth._norm_stream(generators, t, depth, 4))
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"element {i}"
 
 
 def test_growth_products_skip_backtracks(monkeypatch):
