@@ -10,6 +10,8 @@ import time
 from collections import Counter
 
 from hypermono.distgraph import (
+    MAX_DEPTH,
+    NODE_BUDGET,
     NO_PATH_FOUND,
     PATH_FOUND_GATE_INCONCLUSIVE,
     THIN_CERTIFIED,
@@ -68,8 +70,8 @@ def main():
     ap.add_argument("--large", action="store_true",
                     help="include the dimension-31 odd-form instances "
                     "(well under a second each)")
-    ap.add_argument("--depth", type=int, default=5)
-    ap.add_argument("--budget", type=int, default=1_000_000)
+    ap.add_argument("--depth", type=int, default=MAX_DEPTH)
+    ap.add_argument("--budget", type=int, default=NODE_BUDGET)
     ap.add_argument("--census", type=int, metavar="N",
                     help="certify every buildable hyperbolic family instance "
                     "for odd n <= N and print status counts per n")

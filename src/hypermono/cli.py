@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify")
     _add_pair_flags(p)
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--max-depth", type=int, default=distgraph.MAX_DEPTH)
+    p.add_argument("--budget", type=int, default=distgraph.NODE_BUDGET)
 
     p = sub.add_parser("growth")
     _add_pair_flags(p)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int, default=10_000)
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--word-limit", type=int, default=None)
-    p.add_argument("--margin", type=int, default=4)
+    p.add_argument("--margin", type=int, default=growth.MARGIN)
 
     p = sub.add_parser("appendix")
     p.add_argument("--example", type=int, required=True)

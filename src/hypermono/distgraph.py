@@ -40,11 +40,15 @@ from .lattice import (
 from .levelt import MonodromySystem, build
 
 
+MAX_DEPTH = 5  # default path length limit of a certificate search
+NODE_BUDGET = 1_000_000  # default limit on the vertices it expands
+
+
 @dataclass(frozen=True)
 class GraphConfig:
     lattice: QuadLattice
-    max_depth: int = 5
-    node_budget: int = 1_000_000
+    max_depth: int = MAX_DEPTH
+    node_budget: int = NODE_BUDGET
 
     def __post_init__(self):
         if self.max_depth < 1 or self.node_budget < 1:
@@ -56,8 +60,8 @@ class GraphConfig:
         return -3 if self.lattice.parity == EVEN_TYPE else -4
 
 
-def config_for(lattice: QuadLattice, *, max_depth: int = 5,
-               node_budget: int = 1_000_000) -> GraphConfig:
+def config_for(lattice: QuadLattice, *, max_depth: int = MAX_DEPTH,
+               node_budget: int = NODE_BUDGET) -> GraphConfig:
     return GraphConfig(lattice, max_depth, node_budget)
 
 
@@ -124,8 +128,11 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
     most max_depth; deterministic (frontiers and children in sorted order).
 
-    No vertex is expanded twice: each side's parents dedupe its frontier,
-    and a vertex reached from both sides ends the search as a meet.
+    Side 0 searches from src and side 1 from dst. Each level expands the
+    whole frontier of one side: the smaller one, src's on a tie. The levels
+    of both sides together are at most max_depth. No vertex is expanded
+    twice: each side's parents dedupe its frontier, and a vertex reached
+    from both sides ends the search as a meet (the least, if several).
 
     `neighbors` runs only for the two roots, src and dst. Every other
     vertex was reached from a parent on the level its side expanded last,
@@ -148,69 +155,47 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     if bilinear(g, src, dst) == cfg.edge_value:
         return PathSearch((src, dst), False, 1)
 
-    parents_s: dict = {src: None}
-    parents_d: dict = {dst: None}
-    frontier_s = [src]
-    frontier_d = [dst]
-    lists_s: dict = {}
-    lists_d: dict = {}
-    depth_s = depth_d = 0
+    parents = ({src: None}, {dst: None})
+    frontiers = [[src], [dst]]
+    lists = [{}, {}]
     expanded = 0
-
-    def joined(meet, side_parent_s, side_parent_d):
-        left = []
-        node = meet
-        while node is not None:
-            left.append(node)
-            node = side_parent_s[node]
-        left.reverse()
-        node = side_parent_d[meet]
-        while node is not None:
-            left.append(node)
-            node = side_parent_d[node]
-        return tuple(left)
-
-    while frontier_s and frontier_d and depth_s + depth_d < cfg.max_depth:
-        if len(frontier_s) <= len(frontier_d):
-            frontier, parents, other, lists = (frontier_s, parents_s,
-                                               parents_d, lists_s)
-            forward = True
-        else:
-            frontier, parents, other, lists = (frontier_d, parents_d,
-                                               parents_s, lists_d)
-            forward = False
-        new_frontier = []
-        new_lists = {}
+    for level in range(cfg.max_depth):
+        if not (frontiers[0] and frontiers[1]):
+            break
+        s = len(frontiers[0]) > len(frontiers[1])
+        parent_of, other, near_lists = parents[s], parents[not s], lists[s]
+        new_frontier, new_lists, meets = [], {}, []
         # the search ends after its last level, so those lists go unread
-        keep = depth_s + depth_d + 1 < cfg.max_depth
-        meets = []
-        for node in frontier:
+        keep = level + 1 < cfg.max_depth
+        for node in frontiers[s]:
             if expanded >= cfg.node_budget:
                 return PathSearch(None, True, expanded)
             expanded += 1
-            parent = parents[node]
+            parent = parent_of[node]
             near = (neighbors(cfg, node) if parent is None
-                    else _reflected(cfg, parent, node, lists[parent]))
+                    else _reflected(cfg, parent, node, near_lists[parent]))
             if keep:
                 new_lists[node] = near
             for w in near:
-                if w in parents:
+                if w in parent_of:
                     continue
-                parents[w] = node
+                parent_of[w] = node
                 new_frontier.append(w)
                 if w in other:
                     meets.append(w)
         if meets:
+            # each side's parents lead from the meet back to its root
             meet = min(meets)
-            return PathSearch(joined(meet, parents_s, parents_d), False,
+            halves = ([], [])
+            for half, up in zip(halves, parents):
+                node = meet
+                while node is not None:
+                    half.append(node)
+                    node = up[node]
+            return PathSearch(tuple(halves[0][::-1] + halves[1][1:]), False,
                               expanded)
         new_frontier.sort()
-        if forward:
-            frontier_s, lists_s = new_frontier, new_lists
-            depth_s += 1
-        else:
-            frontier_d, lists_d = new_frontier, new_lists
-            depth_d += 1
+        frontiers[s], lists[s] = new_frontier, new_lists
     return PathSearch(None, False, expanded)
 
 
@@ -307,8 +292,8 @@ PATH_FOUND_GATE_INCONCLUSIVE = "PathFoundGateInconclusive"
 NO_PATH_FOUND = "NoPathFound"
 
 
-def certify(m: MonodromySystem, *, max_depth: int = 5,
-            node_budget: int = 1_000_000) -> CertificateReport:
+def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
+            node_budget: int = NODE_BUDGET) -> CertificateReport:
     """Path from v to g.v in the distance graph + infinite-quotient gate.
 
     r_w = r_{-w}, so either sign of the target certifies; one search runs,

@@ -9,11 +9,11 @@ Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are sequences of rows over int or Fraction and
 vectors sequences of entries, lists or the tuples that the frozen
 dataclasses store, read in place. An input is copied only to be worked on:
-the basis by `lll_reduce`, the matrix by `smith_normal_form` (which forms
-no transforms), and a Fraction copy by each rational elimination (`mat_inv`,
-`mat_det`, `nullspace`). Of those eliminations the package calls only
-`mat_inv`, for the growth generators' inverses; `mat_det` and `nullspace`
-serve the tests.
+the basis by `lll_reduce` and the matrix by `smith_normal_form` (neither
+forms its unimodular transforms), and a Fraction copy by each rational
+elimination (`mat_inv`, `mat_det`, `nullspace`). Of those eliminations the
+package calls only `mat_inv`, for the growth generators' inverses;
+`mat_det` and `nullspace` serve the tests.
 `flat_mat_mul`, the product of the Dirichlet word enumeration and of the
 growth letters that are not companion matrices, takes flat row-major
 tuples, of ints or of the Dirichlet regions' floats.
@@ -551,10 +551,10 @@ def integral_gram_schmidt(g: Mat) -> GramSchmidt:
 
 @dataclass(frozen=True)
 class LLLReduction:
-    """An LLL-reduced basis: basis[i] = sum_j transform[i][j] * input[j] with
-    transform unimodular, and its integral Gram-Schmidt data."""
+    """An LLL-reduced basis of the input's lattice and its integral
+    Gram-Schmidt data. The unimodular transform from the input basis is not
+    formed."""
     basis: tuple[tuple[int, ...], ...]
-    transform: tuple[tuple[int, ...], ...]
     gram_schmidt: GramSchmidt
 
 
@@ -573,7 +573,6 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     b = [list(v) for v in basis]
     gb = [mat_vec(gram, v) for v in b]
-    h = identity(k)
     d = [1] + [0] * k
     lam = [[0] * k for _ in range(k)]
 
@@ -582,7 +581,7 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
         if 2 * abs(lam[i][j]) <= dj:
             return
         q = (2 * lam[i][j] + dj) // (2 * dj)  # nearest integer to lam/dj
-        for rows in (b, gb, h):
+        for rows in (b, gb):
             rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
         lam[i][j] -= q * dj
         lam_i, lam_j = lam[i], lam[j]
@@ -590,7 +589,7 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
             lam_i[t] -= q * lam_j[t]
 
     def swap(i: int, top: int):  # exchange b_{i-1} and b_i (SWAPI)
-        for rows in (b, gb, h):
+        for rows in (b, gb):
             rows[i], rows[i - 1] = rows[i - 1], rows[i]
         lam_i, lam_p = lam[i], lam[i - 1]
         for j in range(i - 1):
@@ -627,7 +626,7 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
                 reduce(i, j)
             i += 1
     return LLLReduction(
-        tuple(tuple(v) for v in b), tuple(tuple(r) for r in h),
+        tuple(tuple(v) for v in b),
         GramSchmidt(tuple(d), tuple(tuple(lam[i][:i]) for i in range(k))))
 
 

@@ -23,6 +23,11 @@ from .exact import (flat_mat_mul, flatten, identity, mat_inv, mat_to_int,
 
 _NOT_UNIMODULAR = "growth generators must be unimodular integer matrices"
 
+MARGIN = 4  # default pruning radius, as a multiple of T
+# elements a saturation search may hold at a level's end; example 6 at
+# T = 10 000 holds 110 723 when it saturates
+SATURATION_BOUND = 1_000_000
+
 
 def mat_mul(x: tuple, g: tuple) -> tuple:
     """x * g, for a group element x (its columns as one flat tuple, its
@@ -131,7 +136,7 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
 
 
 def enumerate_ball(generators, t: int, word_limit: int, *,
-                   margin: int = 4) -> BallCount:
+                   margin: int = MARGIN) -> BallCount:
     """Lower bound for |{g in the group : trace(g^t g) <= T^2}| from words of
     length <= word_limit, pruning words with trace(g^t g) > (margin*T)^2.
 
@@ -181,7 +186,8 @@ def fit_slope(t_grid, counts) -> tuple[float, float]:
 
 
 def growth_run(generators, t_min: int, t_max: int, points: int,
-               word_limit: int | None = None, *, margin: int = 4) -> GrowthRun:
+               word_limit: int | None = None, *,
+               margin: int = MARGIN) -> GrowthRun:
     """Single enumeration at t_max, counts read off per grid threshold. With
     word_limit None the same enumeration first chooses the limit, as
     saturated_word_limit(generators, t_max, margin=margin) does."""
@@ -198,13 +204,15 @@ def growth_run(generators, t_min: int, t_max: int, points: int,
                      slope, rss)
 
 
-def _saturate(generators, t: int, *, start: int = 4, margin: int = 4,
+def _saturate(generators, t: int, *, start: int = 4, margin: int = MARGIN,
               max_limit: int = 64) -> tuple[int, list[int]]:
     """Smallest word limit L in start, start + 2, ... below max_limit whose
     ball count at T equals the count at L + 2, with the norms of the words
     of length <= L. The words of length <= L are a prefix of those of
     length <= L + 2, so one enumeration serves every L; it is read to the
-    first element past level L + 2."""
+    first element past level L + 2. Raises ValueError when no such L
+    exists, or when a level ends with more than SATURATION_BOUND elements
+    read, so that a ball that keeps growing fails before memory does."""
     limits = range(start, max_limit, 2)
     depth = limits[-1] + 2 if limits else 0
     stream = _norm_stream(generators, t, depth, margin)
@@ -220,11 +228,14 @@ def _saturate(generators, t: int, *, start: int = 4, margin: int = 4,
         if k - 2 in limits and levels[k - 2][1] == count:
             del norms[levels[k - 2][0]:]
             return k - 2, norms
+        if len(norms) > SATURATION_BOUND:
+            raise ValueError(f"no saturation within {SATURATION_BOUND} "
+                             "elements")
     raise ValueError(f"no saturation below word limit {max_limit}")
 
 
 def saturated_word_limit(generators, t: int, *, start: int = 4,
-                         margin: int = 4, max_limit: int = 64) -> int:
+                         margin: int = MARGIN, max_limit: int = 64) -> int:
     """Smallest word limit whose ball count matches the count at limit + 2."""
     return _saturate(generators, t, start=start, margin=margin,
                      max_limit=max_limit)[0]

@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .exact import (
     dot,
-    identity,
     mat_eq,
     mat_mul,
     mat_vec,
@@ -204,17 +203,14 @@ def reflection(r: RootVector) -> list[list[int]]:
             for i, x in enumerate(r.vec)]
 
 
-def reflection_product(a: RootVector, b: RootVector,
-                       m=None) -> list[list[int]]:
-    """Matrix of m r_a r_b, m the identity when omitted, in O(n^2).
+def reflection_product(a: RootVector, b: RootVector, m) -> list[list[int]]:
+    """Matrix of m r_a r_b, in O(n^2).
 
     With r_x = I - x s_x^t (`coreflection`), r_a r_b is the rank-two update
     I - a s_a^t - r_a(b) s_b^t, so m r_a r_b = m - (m a) s_a^t
     - (m r_a(b)) s_b^t needs two matrix-vector products and no matrix
     product."""
     sa, sb = coreflection(a), coreflection(b)
-    if m is None:
-        m = identity(len(a.vec))
     (rab,) = reflect(a, [b.vec])
     ma, mb = mat_vec(m, a.vec), mat_vec(m, rab)
     return [[x - p * y - q * z for x, y, z in zip(row, sa, sb)]

@@ -197,13 +197,16 @@ def _clip(poly, a, b, c):
     return out
 
 
-def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
-                     word_depth: int = 6,
-                     epsilon: float = 1e-6) -> DirichletRegion:
+BASEPOINT = (0.0, 0.0)  # p0, moved once to (0.1234, 0.0567) if a word fixes it
+EPSILON = 1e-6  # a bounded region's vertices lie within radius 1 - EPSILON
+
+
+def dirichlet_region(generators, *, form=None,
+                     word_depth: int = 6) -> DirichletRegion:
     """Intersection of the bisector half-planes H(gamma, p0) over all words
     up to word_depth, in the Klein disk where they are Euclidean; bounded
-    iff the clipped polygon stays strictly inside the unit circle. A
-    basepoint fixed by some word is moved once, by (0.1234, 0.0567)."""
+    iff every vertex of the clipped polygon lies within radius 1 - EPSILON.
+    A basepoint fixed by some word is moved once, to (0.1234, 0.0567)."""
     import numpy as np
 
     # flat row-major 9-tuples, multiplied by the shared flat product; each
@@ -217,12 +220,8 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
         return tuple(map(round, m, _NINES))
 
     ident = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    u0, v0 = basepoint
-    for u0, v0 in ((u0, v0), (u0 + 0.1234, v0 + 0.0567)):
-        r2 = u0 * u0 + v0 * v0
-        if r2 >= 1:
-            raise ValueError("basepoint must lie in the open unit disk")
-        scale = 1.0 / math.sqrt(1.0 - r2)
+    for u0, v0 in (BASEPOINT, (0.1234, 0.0567)):
+        scale = 1.0 / math.sqrt(1.0 - (u0 * u0 + v0 * v0))
         p0 = (u0 * scale, v0 * scale, scale)
         x0, y0, z0 = p0
         images = []
@@ -258,10 +257,10 @@ def dirichlet_region(generators, *, form=None, basepoint=(0.0, 0.0),
         if not poly:
             break
 
-    lim = (1.0 - epsilon) ** 2
+    lim = (1.0 - EPSILON) ** 2
     bounded = bool(poly) and all(u * u + v * v <= lim for u, v in poly)
     return DirichletRegion((u0, v0), tuple(half_planes),
-                           tuple((u, v) for u, v in poly), bounded, epsilon)
+                           tuple((u, v) for u, v in poly), bounded, EPSILON)
 
 
 def appendix_dirichlet_region(example_id: int,

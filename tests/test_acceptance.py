@@ -10,7 +10,7 @@ import conftest
 
 from hypermono.appendix_data import EXAMPLES
 from hypermono.distgraph import THIN_CERTIFIED, certify, config_for, neighbors
-from hypermono.exact import bilinear, identity, mat_eq, mat_mul, mat_vec, transpose
+from hypermono.exact import bilinear, mat_eq, mat_mul, mat_vec, transpose
 from hypermono.exponents import (
     ExponentPair,
     FamilyError,
@@ -289,7 +289,7 @@ def test_acceptance_10_examples_5_6_bounded():
         ex = EXAMPLES[i]
         a2 = mat_mul([list(r) for r in ex.A], [list(r) for r in ex.A])
         region = dirichlet_region([a2, [list(r) for r in ex.B]],
-                                  form=ex.f, word_depth=8, epsilon=1e-6)
+                                  form=ex.f, word_depth=8)
         ok = ok and region.bounded and (time.monotonic() - t1) < 120
     report(10, ok, 240, time.monotonic() - t0,
            "Dirichlet regions for examples 5 and 6 bounded at depth 8")

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypermono import cli, distgraph, exponents, levelt
+from hypermono import cli, distgraph, exponents, growth, levelt
 from hypermono.cli import run
 
 
@@ -224,3 +224,13 @@ def test_growth_rejects_bad_grid(capsys):
                                 "--points", "1"])
     assert code == 2
     assert "at least 2 points" in d["error"]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["certify", "--name", "M1", "--j", "1",
+                              "--n", "5"])
+    assert args.max_depth == distgraph.MAX_DEPTH
+    assert args.budget == distgraph.NODE_BUDGET
+    args = parser.parse_args(["growth", "--name", "M1", "--n", "3"])
+    assert args.margin == growth.MARGIN

@@ -621,10 +621,10 @@ def _census_root_triples(draw):
 @settings(max_examples=200, deadline=None)
 @given(_census_root_triples())
 def test_reflection_product_is_the_matrix_product(case):
-    _, a, b, c = case
+    lat, a, b, c = case
     assert a.is_root and b.is_root and c.is_root
     ra, rb = reflection(a), reflection(b)
-    assert reflection_product(a, b) == mat_mul(ra, rb)
+    assert reflection_product(a, b, identity(lat.n)) == mat_mul(ra, rb)
     m = reflection(c)
     assert reflection_product(a, b, m) == mat_mul(m, mat_mul(ra, rb))
 

@@ -494,9 +494,13 @@ def _reduced_gram(red, gram):
 def _check_lll(basis, gram):
     red = lll_reduce(basis, gram)
     k = len(basis)
-    t = [list(r) for r in red.transform]
-    assert abs(mat_det(t)) == 1  # unimodular: the same lattice
-    assert [list(v) for v in red.basis] == mat_mul(t, basis)
+    # R = T B has the one solution T = R B^t (B B^t)^-1; the reduced basis
+    # spans the input's lattice exactly when T is integral and unimodular
+    bt = [list(c) for c in zip(*basis)]
+    t = mat_mul(mat_mul(red.basis, bt), mat_inv(mat_mul(basis, bt)))
+    assert all(x.denominator == 1 for row in t for x in row)
+    assert abs(mat_det(t)) == 1
+    assert mat_mul(t, basis) == [list(v) for v in red.basis]
     gs = red.gram_schmidt
     assert gs == integral_gram_schmidt(_reduced_gram(red, gram))
     d, lam = gs.d, gs.lam

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from test_word_bfs import GROWTH_CASES
 
 from hypermono import growth
+from hypermono.appendix_data import EXAMPLES
 from hypermono.exact import flat_mat_mul, flatten, identity, mat_mul
 from hypermono.growth import (
     closure_under_inverse,
@@ -81,6 +82,25 @@ def test_saturated_word_limit_stabilizes_count():
     a = enumerate_ball([GEN_A, GEN_B], 30, wl).count
     b = enumerate_ball([GEN_A, GEN_B], 30, wl + 2).count
     assert a == b
+
+
+def _ints(m):
+    return [[int(x) for x in row] for row in m]
+
+
+def test_saturation_stops_at_its_element_bound(monkeypatch):
+    # at T = 10 this ball about doubles per level and never saturates
+    runaway = [_ints(EXAMPLES[6].A), [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    monkeypatch.setattr(growth, "SATURATION_BOUND", 1000)
+    with pytest.raises(ValueError, match="within 1000 elements"):
+        saturated_word_limit(runaway, 10)
+    with pytest.raises(ValueError, match="within 1000 elements"):
+        growth_run(runaway, 2, 10, 4)
+
+
+def test_example_6_saturates_under_the_default_bound():
+    ex = EXAMPLES[6]
+    assert saturated_word_limit([_ints(ex.A), _ints(ex.B)], 10_000) == 16
 
 
 # a det -1 generator is unimodular too

@@ -1,6 +1,6 @@
-"""Every name a hypermono module imports at top level is used in it, every
-private top-level name it defines is read in it, and the certification
-modules use no floating point.
+"""Every name a hypermono module, a test module or a script imports at top
+level is used in it, every private top-level name a hypermono module
+defines is read in it, and the certification modules use no floating point.
 
 No linter is a dependency, so this parses each module with `ast`. It fails
 on top-level imports that nothing in the module refers to (`from __future__`
@@ -72,7 +72,10 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= set(EXACT_MODULES)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(ROOT.glob("tests/*.py"))
+    + sorted(ROOT.glob("scripts/*.py")),
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
