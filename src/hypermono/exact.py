@@ -529,26 +529,6 @@ class GramSchmidt:
         return Fraction(r, self.d[-1])
 
 
-def integral_gram_schmidt(g: Mat) -> GramSchmidt:
-    """Integral Gram-Schmidt data of the basis whose Gram matrix is the
-    integer matrix g. Raises ValueError unless g is symmetric positive
-    definite (Sylvester: every d[i] > 0)."""
-    n = len(g)
-    for i in range(n):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise ValueError("form is not symmetric")
-    d = [1]
-    lam: list[tuple[int, ...]] = []
-    for k in range(n):
-        row, dk = _gram_schmidt_row(d, lam, g[k][:k], g[k][k])
-        if dk <= 0:
-            raise ValueError("form is not positive definite")
-        lam.append(tuple(row))
-        d.append(dk)
-    return GramSchmidt(tuple(d), tuple(lam))
-
-
 @dataclass(frozen=True)
 class LLLReduction:
     """An LLL-reduced basis of the input's lattice and its integral
@@ -635,9 +615,9 @@ def enumerate_short_vectors(gs: GramSchmidt, bound,
     """All integer x with Q(x + o) = bound, sorted.
 
     Q is the positive definite integer form g whose integral Gram-Schmidt
-    data is gs (from `integral_gram_schmidt`, or the `gram_schmidt` of an
-    `lll_reduce` result), the offset o is given by the integer products
-    g * o (so nothing is inverted), and bound is rational.
+    data is gs (the `gram_schmidt` of an `lll_reduce` result), the offset
+    o is given by the integer products g * o (so nothing is inverted), and
+    bound is rational.
 
     Fincke-Pohst (1985) in integers. Q(x + o) = sum_i T_i^2 / (d_i d_{i+1})
     where T_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j + c_i is an integer (c is

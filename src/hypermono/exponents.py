@@ -16,8 +16,6 @@ from math import gcd
 
 from .exact import cyclotomic_poly, moebius, poly_mul, poly_trim
 
-Exponent = Fraction
-
 
 @dataclass(frozen=True)
 class ExponentPair:

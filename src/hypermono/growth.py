@@ -24,8 +24,8 @@ from .exact import (flat_mat_mul, flatten, identity, mat_inv, mat_to_int,
 _NOT_UNIMODULAR = "growth generators must be unimodular integer matrices"
 
 MARGIN = 4  # default pruning radius, as a multiple of T
-# elements a saturation search may hold at a level's end; example 6 at
-# T = 10 000 holds 110 723 when it saturates
+# elements any enumeration may reach; example 6 at T = 10 000 holds
+# 110 723 when it saturates
 SATURATION_BOUND = 1_000_000
 
 
@@ -117,7 +117,9 @@ class BallCount:
 def _norm_stream(generators, t: int, depth: int, margin: int):
     """(length, trace(g^t g)) for each group element g reached by a word of
     length <= depth, in breadth-first discovery order; words with
-    trace(g^t g) > (margin*T)^2 are pruned. Validates before any product."""
+    trace(g^t g) > (margin*T)^2 are pruned. Validates before any product,
+    and raises ValueError past SATURATION_BOUND elements, so that a ball
+    that keeps growing fails before memory does."""
     if margin < 1:
         raise ValueError("margin must be at least 1")
     if depth < 0:
@@ -132,7 +134,14 @@ def _norm_stream(generators, t: int, depth: int, margin: int):
     ball = word_bfs(flatten(identity(n)) + (n,), [_letter(g) for g in gens],
                     mat_mul, tuple, depth, keep=lambda g: g[-1] <= prune_sq,
                     inverse=inverse)
-    return ((length, g[-1]) for length, g in ball)
+
+    def bounded():
+        for count, (length, g) in enumerate(ball):
+            if count == SATURATION_BOUND:
+                raise ValueError(f"word limit {depth} not reached within "
+                                 f"{SATURATION_BOUND} elements")
+            yield length, g[-1]
+    return bounded()
 
 
 def enumerate_ball(generators, t: int, word_limit: int, *,
@@ -211,8 +220,7 @@ def _saturate(generators, t: int, *, start: int = 4, margin: int = MARGIN,
     of length <= L. The words of length <= L are a prefix of those of
     length <= L + 2, so one enumeration serves every L; it is read to the
     first element past level L + 2. Raises ValueError when no such L
-    exists, or when a level ends with more than SATURATION_BOUND elements
-    read, so that a ball that keeps growing fails before memory does."""
+    exists, or past SATURATION_BOUND elements (`_norm_stream`)."""
     limits = range(start, max_limit, 2)
     depth = limits[-1] + 2 if limits else 0
     stream = _norm_stream(generators, t, depth, margin)
@@ -228,9 +236,6 @@ def _saturate(generators, t: int, *, start: int = 4, margin: int = MARGIN,
         if k - 2 in limits and levels[k - 2][1] == count:
             del norms[levels[k - 2][0]:]
             return k - 2, norms
-        if len(norms) > SATURATION_BOUND:
-            raise ValueError(f"no saturation within {SATURATION_BOUND} "
-                             "elements")
     raise ValueError(f"no saturation below word limit {max_limit}")
 
 

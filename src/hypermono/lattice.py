@@ -4,10 +4,10 @@ invariant factors, k-roots/reflections and the infinite-quotient gates.
 The invariant form is normalized by (v, v) = -2, so (v, u) = -u_n for every
 u, and its Gram matrix in the lattice basis {g^i v} is the symmetric Toeplitz
 matrix G[i][j] = -(g^|i-j| v)_n. `invariant_form` builds it with no rational
-solve and checks three integer identities: g^t G g = G; C g^j v = g^j v +
-G[j][0] v with G[0][0] = -2; and A C = B. It is the only invariant form up to
-scale, because disjoint exponents give an irreducible group (Beukers-Heckman
-1989).
+solve and checks three integer identities in closed form: g^t G g = G;
+C = I - v e_n^t, so C g^j v = g^j v + G[j][0] v with G[0][0] = -2; and A C = B.
+It is the only invariant form up to scale, because disjoint exponents give an
+irreducible group (Beukers-Heckman 1989).
 
 A root carries its coreflection s = 2 G a / (a, a), formed by `root_vector`
 from the one product G a, and `reflect` is the one formula
@@ -19,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import (
-    dot,
-    mat_eq,
-    mat_mul,
-    mat_vec,
-    signature_of_symmetric,
-    smith_normal_form,
-)
+from .exact import dot, mat_vec, signature_of_symmetric, smith_normal_form
 from .levelt import MonodromySystem, lattice_basis
 
 EVEN_TYPE = "EvenType"
@@ -116,17 +109,24 @@ def invariant_form(m: MonodromySystem) -> QuadLattice:
       matrix of its characteristic polynomial (Cayley-Hamilton). `build`
       makes g a companion matrix, so that is g itself; its shape is checked,
       and `companion_preserves` checks the identity in O(n^2).
-    - C-invariance: C b_j = b_j + G[j][0] v for every j, so C is the
-      reflection x -> x + (x, v) v, an isometry since G[0][0] = -2.
-    - A and B: A C = B, so both lie in <g, C> (g is A or B, C = C^-1).
+    - C-invariance: C = I - v e_n^t, entry by entry, so C b_j = b_j +
+      G[j][0] v: C is the reflection x -> x + (x, v) v, an isometry as
+      G[0][0] = -2. On an independent basis these n identities fix C.
+    - A and B: A C = B, so both lie in <g, C> (g is A or B, C = C^-1). As
+      A C = A - (A v) e_n^t, B is A but for its last column, A's less A v.
+
+    The basis is independent: K = [v, gv, ..., g^{n-1}v] is v(g) for v(z) =
+    sum v_i z^i (g e_i = e_{i+1}), so K commutes with g; row 0 of G is
+    -e_n^t K. If G is nondegenerate, g^t G g = G makes g invertible, row i of
+    G is row 0 times g^{-i}, and G = R K with row i of R -e_n^t g^{-i}. So a
+    singular K makes G degenerate, which `QuadLattice.from_gram` rejects.
 
     For disjoint exponents the group is irreducible (Beukers-Heckman 1989),
     so by Schur's lemma this is the only invariant form up to scale.
     """
     n = m.n
     g = m.basis_generator()
-    basis = lattice_basis(m)
-    c = [-b[n - 1] for b in basis]
+    c = [-b[n - 1] for b in lattice_basis(m)]
     gram = [[c[abs(i - j)] for j in range(n)] for i in range(n)]
 
     def check(ok: bool, what: str) -> None:
@@ -138,10 +138,13 @@ def invariant_form(m: MonodromySystem) -> QuadLattice:
           "basis generator g is a companion matrix")
     check(companion_preserves(gram, [row[n - 1] for row in g]),
           "g-invariance g^t G g = G")
-    check(all(mat_vec(m.C, b) == [x + row[0] * y for x, y in zip(b, m.v)]
-              for b, row in zip(basis, gram)),
+    check([list(row) for row in m.C]
+          == [[(i == j) - (x if j == n - 1 else 0) for j in range(n)]
+              for i, x in enumerate(m.v)],
           "C-invariance C g^j v = g^j v + (g^j v, v) v")
-    check(mat_eq(mat_mul(m.A, m.C), m.B), "A C = B")
+    check([list(row) for row in m.B] == [[*row[:-1], row[-1] - y] for row, y
+                                         in zip(m.A, mat_vec(m.A, m.v))],
+          "A C = B")
     lat = QuadLattice.from_gram(gram)
     if lat.parity is None:
         raise ValueError("Gram matrix has mixed parity pattern")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import dot, identity, integral_gram_schmidt, mat_mul, mat_vec
+from .exact import identity, mat_mul, mat_vec
 from .exponents import ExponentPair, cyclotomic_structure, poly_from_structure
 
 
@@ -112,17 +112,13 @@ def build(pair: ExponentPair) -> MonodromySystem:
 
 
 def lattice_basis(m: MonodromySystem) -> list[list[int]]:
-    """v, gv, ..., g^{n-1}v for the basis generator g."""
+    """v, gv, ..., g^{n-1}v for the basis generator g. Nothing is checked
+    here: `lattice.invariant_form` rejects a dependent basis, whose Gram
+    matrix is degenerate."""
     g = m.basis_generator()
     basis = [list(m.v)]
     for _ in range(m.n - 1):
         basis.append(mat_vec(g, basis[-1]))
-    # the dot-product Gram matrix is positive definite iff the basis is
-    # independent, which is what integral_gram_schmidt checks
-    try:
-        integral_gram_schmidt([[dot(a, b) for b in basis] for a in basis])
-    except ValueError:
-        raise ValueError("lattice basis is linearly dependent") from None
     return basis
 
 

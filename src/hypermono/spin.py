@@ -206,7 +206,10 @@ def dirichlet_region(generators, *, form=None,
     """Intersection of the bisector half-planes H(gamma, p0) over all words
     up to word_depth, in the Klein disk where they are Euclidean; bounded
     iff every vertex of the clipped polygon lies within radius 1 - EPSILON.
-    A basepoint fixed by some word is moved once, to (0.1234, 0.0567)."""
+    A basepoint fixed by some word is moved once, to (0.1234, 0.0567).
+    Raises ValueError for a negative word_depth."""
+    if word_depth < 0:
+        raise ValueError("word depth must be at least 0")
     import numpy as np
 
     # flat row-major 9-tuples, multiplied by the shared flat product; each

@@ -187,6 +187,13 @@ def test_appendix_report(capsys):
     assert d["dirichlet"]["bounded"] is True
 
 
+def test_appendix_rejects_negative_depth(capsys):
+    # a negative depth used to report the clipping square as a region
+    code, d = run_json(capsys, ["appendix", "--example", "5", "--depth", "-3"])
+    assert code == 2
+    assert d["error"] == "word depth must be at least 0"
+
+
 def test_output_flag(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["--output", str(out), "build", "--name", "M1", "--n", "5"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypermono.exact import (
     LLL_DELTA,
+    GramSchmidt,
     bilinear,
     cyclotomic_poly,
     dot,
@@ -17,7 +18,6 @@ from hypermono.exact import (
     flat_mat_mul,
     identity,
     integer_kernel_and_solution,
-    integral_gram_schmidt,
     lll_reduce,
     mat_det,
     mat_inv,
@@ -298,6 +298,33 @@ def test_signature_congruence_invariant(m, g):
     gt = [[g[j][i] for j in range(3)] for i in range(3)]
     assert signature_of_symmetric(mat_mul(mat_mul(gt, sym), g)) == \
         signature_of_symmetric(sym)
+
+
+def integral_gram_schmidt(g) -> GramSchmidt:
+    """Integral Gram-Schmidt data of the basis whose Gram matrix is the
+    integer matrix g, from rational Gram-Schmidt: d[i] = prod_{j<i} B_j and
+    lam[i][j] = d[j+1] mu_ij, both checked integral. The oracle for the
+    data `lll_reduce` returns. Raises ValueError unless g is symmetric
+    positive definite (Sylvester: every d[i] > 0)."""
+    n = len(g)
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("form is not symmetric")
+    d, mu, norms = [Fraction(1)], [], []  # norms[j] = (b*_j, b*_j) = B_j
+    for i in range(n):
+        row = []
+        for j in range(i):
+            row.append((g[i][j] - sum(mu[j][k] * row[k] * norms[k]
+                                      for k in range(j))) / norms[j])
+        b = g[i][i] - sum(m * m * bk for m, bk in zip(row, norms))
+        if b <= 0:
+            raise ValueError("form is not positive definite")
+        mu.append(row)
+        norms.append(Fraction(b))
+        d.append(d[-1] * b)
+    lam = [[d[j + 1] * m for j, m in enumerate(row)] for row in mu]
+    assert all(x.denominator == 1 for x in d + [y for r in lam for y in r])
+    return GramSchmidt(tuple(int(x) for x in d),
+                       tuple(tuple(int(x) for x in r) for r in lam))
 
 
 def _walk(g, bound, off):

@@ -96,6 +96,11 @@ def test_saturation_stops_at_its_element_bound(monkeypatch):
         saturated_word_limit(runaway, 10)
     with pytest.raises(ValueError, match="within 1000 elements"):
         growth_run(runaway, 2, 10, 4)
+    # the bound holds for an explicit word limit too
+    with pytest.raises(ValueError, match="within 1000 elements"):
+        growth_run(runaway, 2, 10, 4, 16)
+    with pytest.raises(ValueError, match="within 1000 elements"):
+        enumerate_ball(runaway, 10, 16)
 
 
 def test_example_6_saturates_under_the_default_bound():

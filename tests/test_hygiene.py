@@ -22,6 +22,7 @@ one up with getattr.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -88,8 +89,9 @@ def test_detects_unused_import():
     assert unused_imports(src) == ["os (line 2)", "gcd (line 3)"]
 
 
-def dead_private_names(source: str) -> list[str]:
-    tree = ast.parse(source)
+def top_level_names(tree) -> dict[str, int]:
+    """Each name a top-level function, class or assignment defines, with
+    the line of its first definition."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -104,12 +106,26 @@ def dead_private_names(source: str) -> list[str]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+            defined.setdefault(name, node.lineno)
+    return defined
+
+
+def loaded_names(tree) -> set[str]:
+    """Names read as a variable or as an attribute (`module.name`)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def dead_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [f"{name} (line {line})" for name, line in defined.items()
-            if name not in loaded]
+    return [f"{name} (line {line})"
+            for name, line in top_level_names(tree).items()
+            if name.startswith("_") and not name.startswith("__")
+            and name not in loaded]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -131,6 +147,56 @@ def test_detects_dead_private_name():
     assert dead_private_names(src) == [
         "_dead (line 3)", "_Gone (line 5)", "_other (line 7)",
         "_TABLE (line 8)"]
+
+
+def unused_public_names(modules: dict[str, str], users: list[str],
+                        exempt: set[str]) -> list[str]:
+    """`module.name` for each public top-level name of the modules (name ->
+    source) that no module and no user source loads, as a variable or an
+    attribute, outside the `module.name` pairs in exempt."""
+    trees = {m: ast.parse(source) for m, source in modules.items()}
+    loaded = set().union(*map(loaded_names, trees.values()),
+                         *(loaded_names(ast.parse(u)) for u in users))
+    return [f"{m}.{name} (line {line})" for m, tree in trees.items()
+            for name, line in top_level_names(tree).items()
+            if not name.startswith("_") and name not in loaded
+            and f"{m}.{name}" not in exempt]
+
+
+def test_no_unused_public_names():
+    # the tracer wraps its SPANNED names by string, and the console script
+    # of pyproject.toml calls its entry point
+    exempt = {f"{m}.{name}" for m, names in _spanned().items()
+              for name in names}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    exempt |= {f"{m}.{name}" for m, name in
+               re.findall(r'"hypermono\.(\w+):(\w+)"', pyproject)}
+    assert exempt >= {"cli.main", "levelt.hr_generators"}
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8")
+             for p in sorted(ROOT.glob("scripts/*.py"))]
+    assert unused_public_names(modules, users, exempt) == []
+
+
+def test_detects_unused_public_name():
+    modules = {"a": ("LIMIT = 3\n"
+                     "ALIAS = int\n"
+                     "def used():\n"
+                     "    return LIMIT\n"
+                     "def dead():\n"
+                     "    return _private()\n"
+                     "def _private():\n"
+                     "    return 1\n"
+                     "class Gone:\n"
+                     "    pass\n"
+                     "def traced():\n"
+                     "    pass\n"),
+               "b": ("from .a import used\n"
+                     "def entry():\n"
+                     "    return used()\n")}
+    users = ["import hypermono.b as b\nb.entry()\n"]
+    assert unused_public_names(modules, users, {"a.traced"}) == [
+        "a.ALIAS (line 2)", "a.dead (line 5)", "a.Gone (line 9)"]
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES)

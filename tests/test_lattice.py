@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_exact import oracle_smith_normal_form
 
 from hypermono import lattice
@@ -11,11 +13,13 @@ from hypermono.distgraph import certify
 from hypermono.exact import (
     bilinear,
     identity,
+    mat_det,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_vec,
     nullspace,
+    poly_mul,
     transpose,
 )
 from hypermono.exponents import (
@@ -39,7 +43,12 @@ from hypermono.lattice import (
     root_vector,
     two_elementary,
 )
-from hypermono.levelt import build, lattice_basis
+from hypermono.levelt import (
+    MonodromySystem,
+    build,
+    companion_matrix,
+    lattice_basis,
+)
 
 F = Fraction
 
@@ -279,6 +288,57 @@ def test_invariant_form_rejects_perturbed_generator_column():
             with pytest.raises(ValueError, match=re.escape(
                     "invariant form check failed: g-invariance g^t G g = G")):
                 invariant_form(replace(m, **{name: tuple(map(tuple, gen))}))
+
+
+@pytest.mark.parametrize("fid", [FamilyId("N1", 1, 7, 7),
+                                 FamilyId("M2", 5, None, 11), N31_IDS[0]],
+                         ids=str)
+def test_invariant_form_rejects_every_single_entry_mutation(fid):
+    # +1 on one entry of C fails the closed form of C, and +1 on one entry of
+    # the generator that spans no basis fails A C = B; the full products
+    # C g^j v and A C reject the same mutations
+    m = build(make_family(fid))
+    other = "A" if m.rotation_generator == "B" else "B"
+    for name, what in (("C", "C-invariance"), (other, "A C = B")):
+        for i in range(m.n):
+            for j in range(m.n):
+                mat = [list(row) for row in getattr(m, name)]
+                mat[i][j] += 1
+                with pytest.raises(ValueError, match=what):
+                    invariant_form(replace(m, **{name: tuple(map(tuple, mat))}))
+
+
+@st.composite
+def dependent_systems(draw):
+    """A system of size n <= 5 whose lattice basis is dependent by
+    construction: g is the companion matrix of p = (z - r) p1 and v(z) =
+    (z - r) v1(z) for r = +-1, with v_n = 2, so K = v(g) is singular; C and
+    B come from the closed forms C = I - v e_n^t and B = A C. The pair is a
+    placeholder, as invariant_form does not read it."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.sampled_from([1, -1]))
+
+    def coefficients(size):
+        return draw(st.lists(st.integers(-3, 3), min_size=size,
+                             max_size=size))
+
+    a = companion_matrix(poly_mul([-r, 1], coefficients(n - 1) + [1]))
+    v = poly_mul([-r, 1], coefficients(n - 2) + [2])
+    c = [[(i == j) - (x if j == n - 1 else 0) for j in range(n)]
+         for i, x in enumerate(v)]
+    return MonodromySystem(
+        pair=ExponentPair.make([0, F(1, 2)], [F(1, 4), F(3, 4)]),
+        A=tuple(map(tuple, a)), B=tuple(map(tuple, mat_mul(a, c))),
+        C=tuple(map(tuple, c)), v=tuple(v), rotation_order=None,
+        rotation_generator=None, order_A=None, order_B=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_systems())
+def test_invariant_form_rejects_dependent_bases(m):
+    assert mat_det([list(b) for b in lattice_basis(m)]) == 0
+    with pytest.raises(ValueError):
+        invariant_form(m)
 
 
 def test_parity_odd_type():

@@ -162,16 +162,26 @@ def test_lattice_basis_independent():
         assert mat_det([list(col) for col in zip(*basis)]) != 0
 
 
-@pytest.mark.parametrize("v", [(1, 1), (0, 0)])
-def test_lattice_basis_rejects_dependent_basis(v):
-    # g swaps the coordinates, so v = (1, 1) is fixed and (0, 0) spans nothing
+@pytest.mark.parametrize("v,match", [
+    ((2, 2), "Gram matrix is degenerate"),
+    ((-2, 2), "Gram matrix is degenerate"),
+    ((1, 1), r"\(v, v\) = -2"),
+    ((0, 0), r"\(v, v\) = -2"),
+], ids=["2,2", "-2,2", "1,1", "0,0"])
+def test_invariant_form_rejects_dependent_basis(v, match):
+    # g swaps the coordinates, the companion matrix of z^2 - 1, and C, B are
+    # the closed forms I - v e_2^t and A C. v(z) = v_0 + v_1 z shares the
+    # root -1 or 1 of z^2 - 1, so v and gv are dependent; (2, 2) and (-2, 2)
+    # pass every identity and leave G degenerate
     swap = ((0, 1), (1, 0))
+    c = ((1, -v[0]), (0, 1 - v[1]))
     m = MonodromySystem(
         pair=ExponentPair.make([0, F(1, 2)], [F(1, 4), F(3, 4)]),
-        A=swap, B=swap, C=((1, 0), (0, 1)), v=v, rotation_order=2,
-        rotation_generator="A", order_A=2, order_B=2)
-    with pytest.raises(ValueError, match="lattice basis is linearly dependent"):
-        lattice_basis(m)
+        A=swap, B=tuple(map(tuple, mat_mul(swap, c))), C=c, v=v,
+        rotation_order=2, rotation_generator="A", order_A=2, order_B=2)
+    assert mat_det([list(b) for b in lattice_basis(m)]) == 0
+    with pytest.raises(ValueError, match=match):
+        invariant_form(m)
 
 
 def test_hr_generators_match_root_reflections():
