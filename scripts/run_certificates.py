@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
 """Run the thinness certificate over the standard family instances and
 print one line per instance: status, path length, nodes expanded by the
-path search, and gate verdict. With --census N, certify every buildable
-hyperbolic family instance for odd n <= N instead, and print the status
-counts per n."""
+path search, the proof that no path exists at any depth (closed, mod2, or
+- when there is none), and gate verdict. With --census N, certify every
+buildable hyperbolic family instance for odd n <= N instead, and print per
+n the status counts and the NoPathFound split: closed (v has no neighbor),
+mod2 (the orbit test excludes the target) and open (a search ran and found
+nothing)."""
 
 import argparse
 import time
 from collections import Counter
 
 from hypermono.distgraph import (
+    CLOSED,
     MAX_DEPTH,
+    MOD2,
     NODE_BUDGET,
     NO_PATH_FOUND,
     PATH_FOUND_GATE_INCONCLUSIVE,
@@ -27,6 +32,8 @@ from hypermono.exponents import (
 from hypermono.levelt import build
 
 STATUSES = (THIN_CERTIFIED, PATH_FOUND_GATE_INCONCLUSIVE, NO_PATH_FOUND)
+OPEN = "open"
+COLUMNS = STATUSES + (CLOSED, MOD2, OPEN)
 
 
 def default_instances():
@@ -39,9 +46,10 @@ def default_instances():
 
 
 def census(max_n, depth, budget):
-    """One row per odd n <= max_n: instance count, status counts, seconds."""
+    """One row per odd n <= max_n: instance count, status counts, the
+    NoPathFound split, seconds."""
     print(f"{'n':>3} {'instances':>9} "
-          + " ".join(f"{st:>{len(st)}}" for st in STATUSES) + f" {'s':>7}")
+          + " ".join(f"{st:>{len(st)}}" for st in COLUMNS) + f" {'s':>7}")
     total = Counter()
     start = time.monotonic()
     for n in range(3, max_n + 1, 2):
@@ -55,13 +63,15 @@ def census(max_n, depth, budget):
             if classify(m.pair).hyperbolic:
                 rep = certify(m, max_depth=depth, node_budget=budget)
                 counts[rep.status] += 1
-        counts["instances"] = sum(counts.values())
+                if rep.status == NO_PATH_FOUND:
+                    counts[rep.no_path_proof or OPEN] += 1
+        counts["instances"] = sum(counts[st] for st in STATUSES)
         total.update(counts)
         print(f"{n:>3} {counts['instances']:>9} "
-              + " ".join(f"{counts[st]:>{len(st)}}" for st in STATUSES)
+              + " ".join(f"{counts[st]:>{len(st)}}" for st in COLUMNS)
               + f" {time.monotonic() - t0:7.3f}")
     print(f"{'all':>3} {total['instances']:>9} "
-          + " ".join(f"{total[st]:>{len(st)}}" for st in STATUSES)
+          + " ".join(f"{total[st]:>{len(st)}}" for st in COLUMNS)
           + f" {time.monotonic() - start:7.3f}")
 
 
@@ -93,6 +103,7 @@ def main():
         plen = len(rep.path) - 1 if rep.path else "-"
         print(f"{str(fid):14s} {rep.status:28s} path_len={plen:<3} "
               f"expanded={rep.nodes_expanded:<7} "
+              f"proof={rep.no_path_proof or '-':6s} "
               f"gate={rep.gate.verdict:24s} {dt:7.3f}s")
 
 

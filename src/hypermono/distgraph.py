@@ -3,12 +3,16 @@ neighbor enumeration, bidirectional path search, the reflection-product
 factorization witness, and the explicit 2-edge paths for the j = 3 family.
 
 `neighbors` enumerates a vertex's list exactly (kernel, LLL, Fincke-Pohst).
-`find_path` calls it only for its two roots: on an edge (p, u) the root
-a = p - u gives an integral reflection r_a that swaps p and u, so every
-other vertex's list is its parent's list reflected by r_a and sorted."""
+`find_path` calls it only for its two roots, unless it is handed their
+lists: on an edge (p, u) the root a = p - u gives an integral reflection r_a
+that swaps p and u, so every other vertex's list is its parent's list
+reflected by r_a and sorted. `certify` enumerates at most one list, v's: the
+target's is v's moved by the isometry g, and when v's reflections cannot
+reach the target even mod 2 (`orbit_mod2`), no search runs."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -124,7 +128,7 @@ def _reflected(cfg: GraphConfig, parent, node, near) -> list[tuple[int, ...]]:
     return out
 
 
-def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
+def find_path(cfg: GraphConfig, src, dst, roots=None) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
     most max_depth; deterministic (frontiers and children in sorted order).
 
@@ -134,7 +138,8 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
     twice: each side's parents dedupe its frontier, and a vertex reached
     from both sides ends the search as a meet (the least, if several).
 
-    `neighbors` runs only for the two roots, src and dst. Every other
+    `neighbors` runs only for the two roots, src and dst, and not at all
+    when roots = (N(src), N(dst)) hands their sorted lists in. Every other
     vertex was reached from a parent on the level its side expanded last,
     and its list is the parent's list reflected across their edge
     (`_reflected`). Each side keeps the lists of that one level until its
@@ -172,8 +177,12 @@ def find_path(cfg: GraphConfig, src, dst) -> PathSearch:
                 return PathSearch(None, True, expanded)
             expanded += 1
             parent = parent_of[node]
-            near = (neighbors(cfg, node) if parent is None
-                    else _reflected(cfg, parent, node, near_lists[parent]))
+            if parent is not None:
+                near = _reflected(cfg, parent, node, near_lists[parent])
+            elif roots is not None:
+                near = roots[s]
+            else:
+                near = neighbors(cfg, node)
             if keep:
                 new_lists[node] = near
             for w in near:
@@ -283,21 +292,108 @@ class CertificateReport:
     factorization: tuple[tuple[RootVector, RootVector], ...]
     gate: QuotientGate
     detail: str
-    nodes_expanded: int  # by the one target search
+    nodes_expanded: int  # by the one target search, or 1 for v under a proof
     budget_exhausted: bool  # NoPathFound because node_budget ran out
+    no_path_proof: str | None = None  # CLOSED | MOD2: no path at any depth
 
 
 THIN_CERTIFIED = "ThinCertified"
 PATH_FOUND_GATE_INCONCLUSIVE = "PathFoundGateInconclusive"
 NO_PATH_FOUND = "NoPathFound"
+CLOSED = "closed"  # v has no neighbor
+MOD2 = "mod2"  # the target is outside v's orbit mod 2
+
+
+def _mask(v) -> int:
+    """v mod 2 as a bit mask, bit i for coordinate i."""
+    return sum((x & 1) << i for i, x in enumerate(v))
+
+
+def orbit_mod2(cfg: GraphConfig, u, near) -> Iterator[int]:
+    """The orbit of u mod 2 under the reflections r_a in the roots
+    a = u - w, w in near = N(u), as bit masks (`_mask`), breadth first from
+    u's own mask.
+
+    a has norm 2 in even type and 4 in odd type, where every Gram entry is
+    even, so its coreflection s = 2 G a / (a, a) is M a for M = G or G / 2.
+    Mod 2, s is the XOR of the rows of M mod 2 that a's odd coordinates
+    select, and r_a(x) = x - (s, x) a is x XOR ((s & x) parity) a: one AND,
+    one parity and one XOR per product. Roots equal mod 2 act alike, so each
+    pair (a, s) mod 2 is applied once."""
+    half = 1 if cfg.lattice.parity == EVEN_TYPE else 2
+    rows = [_mask([x // half for x in row]) for row in cfg.lattice.gram]
+    gens = set()
+    for w in near:
+        a = _mask(vec_sub(u, w))
+        s = 0
+        for i, row in enumerate(rows):
+            if a >> i & 1:
+                s ^= row
+        if s:  # else r_a is the identity mod 2
+            gens.add((a, s))
+    gens = sorted(gens)
+    start = _mask(u)
+    seen = {start}
+    orbit = [start]
+    for x in orbit:  # grows as it is read: a breadth-first queue
+        yield x
+        for a, s in gens:
+            if (s & x).bit_count() & 1:
+                y = x ^ a
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+
+
+def _outside_orbit_mod2(cfg: GraphConfig, u, near, t) -> bool:
+    """t mod 2 is not in u's orbit mod 2 (`orbit_mod2`). False also when the
+    walk reaches node_budget elements past u's without deciding."""
+    target = _mask(t)
+    for count, x in enumerate(orbit_mod2(cfg, u, near)):
+        if x == target or count > cfg.node_budget:
+            return False
+    return True
+
+
+def _rotated(m: MonodromySystem, sign: int, near) -> list[tuple[int, ...]]:
+    """N(sign g u) = sort(sign g N(u)) for the basis generator g, an
+    isometry (`invariant_form` checks g^t G g = G) that is a companion matrix
+    on the lattice basis: g x is x shifted down one place plus x_(n-1) times
+    g's last column, at O(n) per vector."""
+    p = [row[-1] for row in m.basis_generator()]
+    out = []
+    for w in near:
+        k = sign * w[-1]
+        out.append(tuple([sign * x + k * y
+                          for x, y in zip((0, *w[:-1]), p)]))
+    out.sort()
+    return out
 
 
 def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
             node_budget: int = NODE_BUDGET) -> CertificateReport:
     """Path from v to g.v in the distance graph + infinite-quotient gate.
 
-    r_w = r_{-w}, so either sign of the target certifies; one search runs,
-    toward the sign that pairs negatively with v, under node_budget."""
+    r_w = r_{-w}, so either sign of the target t certifies; only the sign
+    that pairs negatively with v is reachable. An adjacent t is read by
+    `find_path` from the pairing alone, with no neighbor enumeration.
+    Otherwise N(v) is enumerated once, and a search runs only when no proof
+    shows that no path exists at any depth (`no_path_proof`):
+
+    - "closed": N(v) is empty.
+    - "mod2": t mod 2 is outside v's orbit mod 2 (`orbit_mod2`). Let
+      A = {v - w : w in N(v)} and W = <r_a : a in A>. Each r_a is integral
+      and maps v to w, and N(r_a x) = r_a N(x), as r_a is an isometry. So
+      a path v = p_0, p_1, ... has p_i = h v with h in W by induction
+      (p_{i+1} is in N(h v) = h N(v)), and v's component lies in W v.
+      Reduction mod 2 maps W v into the orbit of v mod 2 under the r_a mod
+      2; both signs of t agree mod 2, so one test rules out both. The walk
+      may reach node_budget elements past v's; one more leaves the test
+      undecided, and the search runs.
+
+    The search toward t gets N(v) and N(t) = sort(+-g N(v)) (`_rotated`), so
+    it enumerates no list. A proof counts v's one expansion, as a search
+    that found v closed does; detail "no path within depth d" stays true."""
     cls = classify(m.pair)
     if not cls.hyperbolic:
         raise ValueError("certificate applies to hyperbolic groups only")
@@ -317,7 +413,20 @@ def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
     # |(v, g.v)| > 2.
     sign = 1 if lat.gram[0][1] < 0 else -1
     dst = tuple(sign if i == 1 else 0 for i in range(lat.n))
-    search = find_path(cfg, src, dst)
+    proof = None
+    if sign * lat.gram[0][1] == cfg.edge_value:
+        search = find_path(cfg, src, dst)
+    else:
+        near = neighbors(cfg, src)
+        if not near:
+            proof = CLOSED
+        elif _outside_orbit_mod2(cfg, src, near, dst):
+            proof = MOD2
+        if proof is None:
+            search = find_path(cfg, src, dst,
+                               roots=(near, _rotated(m, sign, near)))
+        else:
+            search = PathSearch(None, False, 1)
     if search.path is None:
         path, pairs, status = (), (), NO_PATH_FOUND
         detail = ("node budget exhausted before the depth limit"
@@ -330,7 +439,8 @@ def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
                   else PATH_FOUND_GATE_INCONCLUSIVE)
         detail = f"path of length {len(path) - 1}; {gate.reason}"
     return CertificateReport(status, path, pairs, gate, detail,
-                             search.nodes_expanded, search.budget_exhausted)
+                             search.nodes_expanded, search.budget_exhausted,
+                             proof)
 
 
 def component_generators(cfg: GraphConfig, u) -> list[list[list[int]]]:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hypermono import cli, distgraph, exponents, growth, levelt
 from hypermono.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_json(capsys, argv):
@@ -82,27 +88,54 @@ def test_certify_report(capsys):
 
 
 def test_certify_budget_exit_code(capsys):
-    # M2(1, 5) has no path within depth 5; its one target search expands 20
-    # vertices, so any smaller budget runs out
-    for budget in ("5", "19"):
-        code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
-                                    "--n", "5", "--budget", budget])
-        assert code == 3
-        assert d["status"] == "NoPathFound"
-        assert d["detail"] == "node budget exhausted before the depth limit"
+    # M1(3, 5) has a path of length 2; its one target search expands 2
+    # vertices, so a budget of 1 runs out
+    argv = ["certify", "--name", "M1", "--j", "3", "--n", "5", "--budget"]
+    code, d = run_json(capsys, argv + ["1"])
+    assert code == 3
+    assert d["status"] == "NoPathFound"
+    assert d["detail"] == "node budget exhausted before the depth limit"
+    code, d = run_json(capsys, argv + ["2"])
+    assert code == 0 and d["status"] == "ThinCertified"
+
+
+@pytest.mark.parametrize("depth, budget", [(5, 5),
+                                           (10**9, distgraph.NODE_BUDGET)])
+def test_certify_proof_needs_no_budget(capsys, depth, budget):
+    # M2(1, 5) is proved to have no path at any depth (orbit mod 2), so no
+    # search runs: a small budget is not exhausted and a huge depth costs
+    # nothing
     code, d = run_json(capsys, ["certify", "--name", "M2", "--j", "1",
-                                "--n", "5", "--budget", "20"])
-    assert code == 0 and d["detail"] == "no path within depth 5"
+                                "--n", "5", "--max-depth", str(depth),
+                                "--budget", str(budget)])
+    assert code == 0
+    assert d["status"] == "NoPathFound"
+    assert d["detail"] == f"no path within depth {depth}"
+    m = levelt.build(exponents.make_family(
+        exponents.FamilyId("M2", 1, None, 5)))
+    rep = distgraph.certify(m, max_depth=depth, node_budget=budget)
+    assert rep.no_path_proof == "mod2" and not rep.budget_exhausted
 
 
 def test_certify_budget_report_goes_to_output(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = run(["--output", str(out), "certify", "--name", "M2", "--j", "1",
-                "--n", "5", "--budget", "5"])
+    code = run(["--output", str(out), "certify", "--name", "M1", "--j", "3",
+                "--n", "5", "--budget", "1"])
     stdout = capsys.readouterr().out
     assert code == 3
     assert out.read_text() == stdout
     assert json.loads(stdout)["status"] == "NoPathFound"
+
+
+def test_python_m_hypermono_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermono", "classify", "--alpha", "1/2",
+         "--beta", "0"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["alpha"] == ["1/2"]
 
 
 @pytest.mark.parametrize("argv, message", [

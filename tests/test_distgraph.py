@@ -24,6 +24,8 @@ from hypermono.exact import (
 from hypermono import distgraph
 from hypermono.exponents import FamilyError, FamilyId, _candidate_ids, classify, make_family
 from hypermono.distgraph import (
+    CLOSED,
+    MOD2,
     NO_PATH_FOUND,
     PATH_FOUND_GATE_INCONCLUSIVE,
     THIN_CERTIFIED,
@@ -35,6 +37,7 @@ from hypermono.distgraph import (
     PathSearch,
     find_path,
     neighbors,
+    orbit_mod2,
 )
 from hypermono.lattice import (
     EVEN_TYPE,
@@ -373,23 +376,160 @@ def test_certify_is_one_search_under_its_budget():
         assert rep.path, fid
         assert_same(rep, find_path(config_for(lat), _e(lat.n, 0), near))
 
-    m = build(make_family(FamilyId("M2", 1, None, 5)))
+    # M1(3, 5) has a path of length 2, found by expanding both roots
+    m = build(make_family(FamilyId("M1", 3, None, 5)))
     lat = invariant_form(m)
     near, _ = _near_and_far_targets(lat)
     full = certify(m)
-    assert full.status == NO_PATH_FOUND
-    assert full.detail == "no path within depth 5"
-    assert not full.budget_exhausted and full.nodes_expanded > 5
+    assert full.status == THIN_CERTIFIED and len(full.path) == 3
+    assert not full.budget_exhausted and full.nodes_expanded == 2
     assert_same(full, find_path(config_for(lat), _e(5, 0), near))
-    for budget in (1, 5, full.nodes_expanded - 1):
-        rep = certify(m, node_budget=budget)
-        assert_same(rep, find_path(config_for(lat, node_budget=budget),
-                                   _e(5, 0), near))
-        assert rep.nodes_expanded == budget
-        assert rep.status == NO_PATH_FOUND
-        assert rep.detail == "node budget exhausted before the depth limit"
-        assert rep.budget_exhausted
+    rep = certify(m, node_budget=1)
+    assert_same(rep, find_path(config_for(lat, node_budget=1), _e(5, 0), near))
+    assert rep.nodes_expanded == 1
+    assert rep.status == NO_PATH_FOUND
+    assert rep.detail == "node budget exhausted before the depth limit"
+    assert rep.budget_exhausted and rep.no_path_proof is None
     assert certify(m, node_budget=full.nodes_expanded) == full
+
+
+def test_certify_proves_no_path_without_a_search(monkeypatch):
+    # M2(1, 5): v's orbit mod 2 has 6 elements and misses the target; a
+    # closed instance: v has no neighbor. Either proof counts v's one
+    # expansion and holds at any depth, so no budget runs out.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a proved instance ran a search")
+
+    monkeypatch.setattr(distgraph, "find_path", no_search)
+    m = build(make_family(FamilyId("M2", 1, None, 5)))
+    assert len(_orbit_case(FamilyId("M2", 1, None, 5))[-1]) == 6
+    closed = build(make_family(FamilyId("M3", 1, None, 5)))
+    assert neighbors(config_for(invariant_form(closed)), _e(5, 0)) == []
+    for system, proof in ((m, MOD2), (closed, CLOSED)):
+        for depth, budget in ((5, 5), (10**9, 1_000_000)):
+            rep = certify(system, max_depth=depth, node_budget=budget)
+            assert rep.status == NO_PATH_FOUND
+            assert rep.detail == f"no path within depth {depth}"
+            assert rep.no_path_proof == proof
+            assert rep.nodes_expanded == 1 and not rep.budget_exhausted
+    monkeypatch.undo()
+    # the walk may reach node_budget elements past v's: with 5 to reach, a
+    # budget of 4 leaves the test undecided, and the search exhausts it
+    rep = certify(m, node_budget=4)
+    assert rep.no_path_proof is None and rep.budget_exhausted
+    assert rep.nodes_expanded == 4
+
+
+def _matrix_orbit_mod2(lat, u, near):
+    """The orbit of u mod 2 under the reflection matrices r_{u-w} reduced
+    mod 2, as 0/1 tuples: an oracle for the bit-mask walk."""
+    mats = [[[x % 2 for x in row]
+             for row in reflection(root_vector(lat, [x - y for x, y in zip(u, w)]))]
+            for w in near]
+    start = tuple(x % 2 for x in u)
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for r in mats:
+            y = tuple(sum(a * b for a, b in zip(row, x)) % 2 for row in r)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return {sum(b << i for i, b in enumerate(x)) for x in seen}
+
+
+# even: excluded mod 2 and containing the target; odd: every census odd form
+# is adjacent, so certify never walks one, and the walk is checked here
+EXCLUDED_IDS = [FamilyId("M2", 1, None, 5), FamilyId("M2", 2, None, 7)]
+ORBIT_IDS = EXCLUDED_IDS + [
+    FamilyId("M1", 3, None, 5), FamilyId("N2", 2, 6, 7),
+    FamilyId("N1", 1, 1, 7), FamilyId("M2", 3, None, 7),
+    FamilyId("M2", 4, None, 9)]
+
+
+@functools.cache
+def _orbit_case(fid):
+    lat = family_lattice(fid)
+    e0 = _e(lat.n, 0)
+    near = neighbors(config_for(lat), e0)
+    roots = [root_vector(lat, [x - y for x, y in zip(e0, w)]) for w in near]
+    return lat, e0, near, roots, list(orbit_mod2(config_for(lat), e0, near))
+
+
+def test_orbit_mod2_matches_the_matrix_oracle():
+    parities = set()
+    for fid in ORBIT_IDS:
+        lat, e0, near, _, orbit = _orbit_case(fid)
+        parities.add(lat.parity)
+        assert near, fid
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == _matrix_orbit_mod2(lat, e0, near), fid
+        # e1 mod 2
+        assert (0b10 in orbit) == (fid not in EXCLUDED_IDS), fid
+    assert parities == {EVEN_TYPE, ODD_TYPE}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(ORBIT_IDS),
+       word=st.lists(st.integers(0, 10**6), max_size=10))
+def test_word_images_lie_in_the_orbit_mod2(case, word):
+    # the image of v under any word in the r_{v-w}, formed over Z, is in
+    # the orbit mod 2
+    lat, e0, _, roots, orbit = _orbit_case(case)
+    x = e0
+    for i in word:
+        (x,) = reflect(roots[i % len(roots)], [x])
+        assert bilinear(lat.gram, x, x) == -2
+        assert distgraph._mask(x) in orbit, (case, word)
+
+
+def test_excluded_components_miss_the_target():
+    # a consistency check of the mod 2 proof, not a proof: for each
+    # instance with n <= 9 that it excludes, no path of length <= 10 joins
+    # v to either sign of the target
+    excluded = 0
+    for fid, m in _hyperbolic_systems((5, 7, 9)):
+        if certify(m).no_path_proof != MOD2:
+            continue
+        excluded += 1
+        lat = invariant_form(m)
+        cfg = config_for(lat, max_depth=10)
+        for sign in (1, -1):
+            search = find_path(cfg, _e(lat.n, 0), _e(lat.n, 1, sign))
+            assert search.path is None and not search.budget_exhausted, fid
+    assert excluded == 13
+
+
+def test_certify_enumerates_at_most_one_list(monkeypatch):
+    # certify calls `neighbors` at most once, for v, and never for an
+    # adjacent target (every n = 31 instance). Every search it runs gets
+    # the two roots' lists, and they are `neighbors` of v and of the
+    # target: the target's is v's moved by g (`_rotated`).
+    listed, search = distgraph.neighbors, distgraph.find_path
+    calls = []
+    seeded = []
+
+    def counted(cfg, u):
+        calls.append(u)
+        return listed(cfg, u)
+
+    def checked(cfg, src, dst, roots=None):
+        if roots is not None:
+            assert roots == (listed(cfg, src), listed(cfg, dst)), dst
+            seeded.append(dst)
+        return search(cfg, src, dst, roots)
+
+    monkeypatch.setattr(distgraph, "neighbors", counted)
+    monkeypatch.setattr(distgraph, "find_path", checked)
+    systems = list(_hyperbolic_systems((3, 5, 7, 9, 11, 13)))
+    systems += [(fid, build(make_family(fid))) for fid in N31_IDS]
+    for fid, m in systems:
+        calls.clear()
+        rep = certify(m)
+        assert calls in ([], [_e(fid.n, 0)]), fid
+        if fid.n == 31:
+            assert calls == [] and len(rep.path) == 2, fid
+    assert len(seeded) == 58  # the paths of length 2
 
 
 def test_paths_stay_on_the_sheet_of_v(monkeypatch):
@@ -815,6 +955,20 @@ def test_census_script_counts(monkeypatch, capsys):
     assert rows[1:] == [["3", "13", "0", "9", "4"], ["5", "27", "9", "6", "12"],
                         ["7", "40", "14", "6", "20"],
                         ["all", "80", "23", "21", "36"]]
+
+
+def test_census_script_proof_counts(monkeypatch, capsys):
+    # scripts/run_certificates.py --census 11: per odd n, NoPathFound and
+    # its split into closed, mod2 and open; every one is proved
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_certificates.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--census", "11"])
+    runpy.run_path(str(script), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][4:8] == ["NoPathFound", "closed", "mod2", "open"]
+    assert [[r[0]] + r[4:8] for r in rows[1:]] == [
+        ["3", "4", "4", "0", "0"], ["5", "12", "11", "1", "0"],
+        ["7", "20", "16", "4", "0"], ["9", "31", "23", "8", "0"],
+        ["11", "31", "23", "8", "0"], ["all", "98", "77", "21", "0"]]
 
 
 def test_certify_secondthin_instance():
