@@ -312,7 +312,8 @@ def _mask(v) -> int:
 def orbit_mod2(cfg: GraphConfig, u, near) -> Iterator[int]:
     """The orbit of u mod 2 under the reflections r_a in the roots
     a = u - w, w in near = N(u), as bit masks (`_mask`), breadth first from
-    u's own mask.
+    u's own mask. Each element is yielded when it is first reached, so a
+    caller looking for one stops before expanding the rest of its level.
 
     a has norm 2 in even type and 4 in odd type, where every Gram entry is
     even, so its coreflection s = 2 G a / (a, a) is M a for M = G or G / 2.
@@ -335,14 +336,15 @@ def orbit_mod2(cfg: GraphConfig, u, near) -> Iterator[int]:
     start = _mask(u)
     seen = {start}
     orbit = [start]
+    yield start
     for x in orbit:  # grows as it is read: a breadth-first queue
-        yield x
         for a, s in gens:
             if (s & x).bit_count() & 1:
                 y = x ^ a
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
+                    yield y
 
 
 def _outside_orbit_mod2(cfg: GraphConfig, u, near, t) -> bool:
