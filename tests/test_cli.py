@@ -130,7 +130,7 @@ def test_certify_budget_report_goes_to_output(tmp_path, capsys):
 def test_python_m_hypermono_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hypermono", "classify", "--alpha", "1/2",
          "--beta", "0"], capture_output=True, text=True, env=env, timeout=60)
