@@ -41,7 +41,7 @@ from .lattice import (
     reflection_product,
     root_vector,
 )
-from .levelt import MonodromySystem, build
+from .levelt import MonodromySystem, build, companion_step
 
 
 MAX_DEPTH = 5  # default path length limit of a certificate search
@@ -360,16 +360,10 @@ def _outside_orbit_mod2(cfg: GraphConfig, u, near, t) -> bool:
 def _rotated(m: MonodromySystem, sign: int, near) -> list[tuple[int, ...]]:
     """N(sign g u) = sort(sign g N(u)) for the basis generator g, an
     isometry (`invariant_form` checks g^t G g = G) that is a companion matrix
-    on the lattice basis: g x is x shifted down one place plus x_(n-1) times
-    g's last column, at O(n) per vector."""
-    p = [row[-1] for row in m.basis_generator()]
-    out = []
-    for w in near:
-        k = sign * w[-1]
-        out.append(tuple([sign * x + k * y
-                          for x, y in zip((0, *w[:-1]), p)]))
-    out.sort()
-    return out
+    on the lattice basis, applied by `companion_step` at O(n) per vector."""
+    g = m.basis_generator()
+    return sorted(tuple([sign * x for x in companion_step(g, w)])
+                  for w in near)
 
 
 def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,

@@ -9,11 +9,12 @@ Everything here is arbitrary precision: polynomials are lists of ints
 (ascending degree), matrices are sequences of rows over int or Fraction and
 vectors sequences of entries, lists or the tuples that the frozen
 dataclasses store, read in place. An input is copied only to be worked on:
-the basis by `lll_reduce` and the matrix by `smith_normal_form` (neither
-forms its unimodular transforms), and a Fraction copy by each rational
-elimination (`mat_inv`, `mat_det`, `nullspace`). Of those eliminations the
-package calls only `mat_inv`, for the growth generators' inverses;
-`mat_det` and `nullspace` serve the tests.
+the basis by `lll_reduce`, the matrix by `smith_normal_form` (neither forms
+its unimodular transforms) and by `signature_of_symmetric`, the row by
+`integer_kernel_and_solution` as the values of its unit columns, and a
+Fraction copy by each rational elimination (`mat_inv`, `mat_det`,
+`nullspace`). Of those eliminations the package calls only `mat_inv`, for
+the growth generators' inverses; `mat_det` and `nullspace` serve the tests.
 `flat_mat_mul`, the product of the Dirichlet word enumeration and of the
 growth letters that are not companion matrices, takes flat row-major
 tuples, of ints or of the Dirichlet regions' floats.
@@ -30,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -347,66 +348,73 @@ def word_bfs(start, gens, mul, key, depth: int, keep=None, inverse=None):
 
 
 # ---------------------------------------------------------------------------
-# Smith diagonal, and the integer solutions of one linear equation
+# Euclid's algorithm on lines: the Smith diagonal, and the integer solutions
+# of one linear equation
 # ---------------------------------------------------------------------------
+
+def _euclid(vals: list[int], lines: list[list[int]]) -> int:
+    """Euclid's algorithm on the lines, driven by their values, in place:
+    vals[i] is a linear function of lines[i]. The line of least nonzero
+    |value| (the first such index) moves to the front as the pivot p, and
+    every other line l becomes l - q p with q = floor(value of l / value of
+    p), until every value but the front one is 0. Each step is unimodular.
+    Returns the front value, +-gcd(vals), or 0 when every value is 0."""
+    n = len(vals)
+    while True:
+        p = min((i for i in range(n) if vals[i]), key=lambda i: abs(vals[i]),
+                default=None)
+        if p is None:
+            return 0
+        vals[0], vals[p] = vals[p], vals[0]
+        lines[0], lines[p] = lines[p], lines[0]
+        d, pivot = vals[0], lines[0]
+        for i in range(1, n):
+            q = vals[i] // d
+            if q:
+                vals[i] -= q * d
+                lines[i] = [x - q * y for x, y in zip(lines[i], pivot)]
+        if not any(vals[1:]):
+            return d
+
 
 def smith_normal_form(m: Mat) -> tuple[int, ...]:
     """The Smith diagonal d1 | d2 | ... of a rectangular integer matrix m:
     the min(rows, cols) nonnegative entries of L m R = D for unimodular L
     and R, which are not formed (D is unique, L and R are not).
 
-    Row and column operations on a copy of m: each step brings the entry
-    of least nonzero |value| to the pivot, clears the pivot's row and
-    column, and repeats until the pivot divides what is left of them and
-    of the block below."""
+    On a copy of m, each step moves a nonzero column to the front and
+    clears the first column by row operations (`_euclid` on the rows). If
+    the pivot divides the first row, column operations clear it and change
+    no other row. If not, the first row is cleared as the first column of
+    the transpose, which has the same diagonal, and the clearing repeats
+    with a smaller pivot. If the pivot fails to divide some row of the rest,
+    that row is added to the first row and the clearing repeats. |pivot| is
+    recorded and the first row and column dropped; a zero block leaves
+    zeros."""
     a = [[int(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    s = 0
-    while s < min(rows, cols):
-        if all(a[i][j] == 0 for i in range(s, rows) for j in range(s, cols)):
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while a and a[0]:
+        j = next((j for j, col in enumerate(zip(*a)) if any(col)), None)
+        if j is None:
             break
+        for row in a:
+            row[0], row[j] = row[j], row[0]
         while True:
-            # bring the minimal-absolute-value nonzero entry to the pivot
-            # on every pass (reducing against a non-minimal pivot blows up)
-            best = None
-            for i in range(s, rows):
-                for j in range(s, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                        best = (abs(a[i][j]), i, j)
-            _, bi, bj = best
-            a[s], a[bi] = a[bi], a[s]
-            # rows above s are zero from column s on: column operations
-            # run over rows s.. only
-            if bj != s:
-                for row in a[s:]:
-                    row[s], row[bj] = row[bj], row[s]
-            # clear the edging; restart if a remainder creates a smaller pivot
-            p = a[s]
-            dirty = False
-            for i in range(s + 1, rows):
-                q, r = divmod(a[i][s], p[s])
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], p)]
-                if r:
-                    dirty = True
-            for j in range(s + 1, cols):
-                q, r = divmod(p[j], p[s])
-                if q:
-                    for row in a[s:]:
-                        row[j] -= q * row[s]
-                if r:
-                    dirty = True
-            if dirty:
+            d = _euclid([row[0] for row in a], a)
+            if any(x % d for x in a[0]):
+                a = [list(col) for col in zip(*a)]
                 continue
-            # pivot must divide the remaining block
-            witness = next((i for i in range(s + 1, rows)
-                            if any(x % p[s] for x in a[i][s + 1:])), None)
+            # the pivot divides the first row: clearing it by column
+            # operations changes no other row
+            witness = next((row for row in a[1:] if any(x % d for x in row)),
+                           None)
             if witness is None:
                 break
-            a[s] = [x + y for x, y in zip(p, a[witness])]
-        s += 1
-    return tuple(abs(a[i][i]) for i in range(min(rows, cols)))
+            a[0] = [d, *witness[1:]]
+        diag.append(abs(d))
+        a = [row[1:] for row in a[1:]]
+    return tuple(diag) + (0,) * (size - len(diag))
 
 
 def integer_kernel_and_solution(row: list[int], target: int):
@@ -415,32 +423,17 @@ def integer_kernel_and_solution(row: list[int], target: int):
     Returns (x0, kernel_basis): kernel_basis is a Z-basis of
     {x : row . x = 0}, and x0 is None when no solution exists.
 
-    Euclid's algorithm on all columns at once, starting from the unit
-    columns: the column of least nonzero |row . col| moves to the front as
-    the pivot p, and every other column c becomes c - q p with
-    q = floor(row . c / row . p), until no other column pairs nonzero.
-    Each step is a unimodular column operation, so the columns stay a
-    basis of Z^n: row . p = +-gcd(row) = d, x0 = (target / d) p, and the
-    other columns are a basis of the kernel. Pivoting on the least value
-    keeps the kernel vectors short for the LLL that reduces them."""
+    `_euclid` on the unit columns, driven by their values row . col. Its
+    steps are unimodular column operations, so the columns stay a basis of
+    Z^n: the front one p has row . p = +-gcd(row) = d, x0 = (target / d) p,
+    and the others are a basis of the kernel. A zero row leaves d = 0 and
+    the identity, all kernel. Pivoting on the least value keeps the kernel
+    vectors short for the LLL that reduces them."""
     n = len(row)
-    if all(x == 0 for x in row):
-        x0 = [0] * n if target == 0 else None
-        return x0, identity(n)
     cols = identity(n)
-    vals = list(row)  # vals[i] = row . cols[i]
-    while True:
-        p = min((i for i in range(n) if vals[i]), key=lambda i: abs(vals[i]))
-        vals[0], vals[p] = vals[p], vals[0]
-        cols[0], cols[p] = cols[p], cols[0]
-        for i in range(1, n):
-            q = vals[i] // vals[0]
-            if q:
-                vals[i] -= q * vals[0]
-                cols[i] = [x - q * y for x, y in zip(cols[i], cols[0])]
-        if not any(vals[1:]):
-            break
-    d = vals[0]
+    d = _euclid(list(row), cols)
+    if not d:
+        return ([0] * n if target == 0 else None), cols
     x0 = None if target % d else [target // d * x for x in cols[0]]
     return x0, cols[1:]
 
@@ -450,45 +443,44 @@ def integer_kernel_and_solution(row: list[int], target: int):
 # ---------------------------------------------------------------------------
 
 def signature_of_symmetric(g: Mat) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix, read
-    off the integral Gram-Schmidt recurrence (`_gram_schmidt_row`).
+    """(positive, negative, zero) inertia of a symmetric integer matrix, by
+    fraction-free symmetric elimination (Bareiss 1968) on a copy.
 
-    Vectors join a chain while the next leading minor d_k of the chain is
-    nonzero; the k-th pivot (b*_k, b*_k) = d_k / d_{k-1} has the sign of
-    d_k d_{k-1}. When every remaining vector is null on the orthogonal
-    complement of the chain, the sum x + y of two that pair nonzero there
-    has norm 2(x*, y*) != 0 and joins in place of x (the span is kept, so by
-    Sylvester's law the inertia is). The projections of what is left then
-    span the radical, so each counts as zero."""
+    At step k a nonzero diagonal entry of the trailing block moves to (k, k)
+    by a symmetric swap; it is then the leading minor d_{k+1} of a matrix
+    congruent to g, and the k-th pivot d_{k+1} / d_k has the sign of
+    d_{k+1} d_k (Jacobi). The block becomes (d_{k+1} x - c y) / d_k, an
+    exact division: d_{k+1} times the Schur complement. If its diagonal is
+    zero but some entry (i, j) is not, adding row and column j to row and
+    column i (a congruence) makes the diagonal entry 2 (i, j). A zero block
+    is the radical, and each of its rows counts as zero (Sylvester)."""
     n = len(g)
     for i in range(n):
         for j in range(i):
             assert g[i][j] == g[j][i], "matrix is not symmetric"
-    rest = [[int(i == j) for j in range(n)] for i in range(n)]
-    picked: list[Vec] = []
-    d, lam = [1], []
-    pos = neg = 0
-
-    def candidates():
-        yield from enumerate(rest)
-        for i, j in combinations(range(len(rest)), 2):
-            yield i, [a + b for a, b in zip(rest[i], rest[j])]
-
-    while True:
-        for i, x in candidates():
-            gx = mat_vec(g, x)
-            row, dk = _gram_schmidt_row(d, lam, [dot(b, gx) for b in picked],
-                                        dot(x, gx))
-            if dk:
+    a = [list(row) for row in g]
+    prev, pos, neg = 1, 0, 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            hit = next(((i, j) for i, row in enumerate(a)
+                        for j, x in enumerate(row) if x), None)
+            if hit is None:
                 break
-        else:
-            return pos, neg, len(rest)
-        pos += dk * d[-1] > 0
-        neg += dk * d[-1] < 0
-        del rest[i]
-        picked.append(x)
-        lam.append(row)
-        d.append(dk)
+            k, j = hit
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        a[0], a[k] = a[k], a[0]
+        for row in a:
+            row[0], row[k] = row[k], row[0]
+        piv, *top = a[0]
+        pos += piv * prev > 0
+        neg += piv * prev < 0
+        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in a[1:]]
+        prev = piv
+    return pos, neg, len(a)
 
 
 # ---------------------------------------------------------------------------

@@ -111,14 +111,22 @@ def build(pair: ExponentPair) -> MonodromySystem:
     )
 
 
+def companion_step(g, x) -> list[int]:
+    """g x for a companion matrix g: x shifted down one place plus x_(n-1)
+    times g's last column, at O(n). Only that column of g is read."""
+    k = x[-1]
+    return [y + k * row[-1] for y, row in zip((0, *x[:-1]), g)]
+
+
 def lattice_basis(m: MonodromySystem) -> list[list[int]]:
-    """v, gv, ..., g^{n-1}v for the basis generator g. Nothing is checked
-    here: `lattice.invariant_form` rejects a dependent basis, whose Gram
-    matrix is degenerate."""
+    """v, gv, ..., g^{n-1}v for the basis generator g, by `companion_step`.
+    g must be a companion matrix, as `build` makes it. Nothing is checked
+    here: `lattice.invariant_form` rejects a g of any other shape, and a
+    dependent basis, whose Gram matrix is degenerate."""
     g = m.basis_generator()
     basis = [list(m.v)]
     for _ in range(m.n - 1):
-        basis.append(mat_vec(g, basis[-1]))
+        basis.append(companion_step(g, basis[-1]))
     return basis
 
 

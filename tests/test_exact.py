@@ -168,10 +168,36 @@ def oracle_smith_normal_form(m):
 @example([[0, 0], [0, 0]])
 @example([[6, 4, 10]])
 @example([[4], [6], [-9]])
+@example([[0, 0], [0, 3]])  # zero first column
+@example([[0, 0, 0], [-3, 2, -1], [6, 0, 0]])
+@example([[2, 0], [0, 3]])  # the pivot divides no entry of the rest: (1, 6)
 def test_snf_matches_oracle(m):
     # the diagonal is unique, so the transform-free form returns the oracle's
     assert smith_normal_form(m) == oracle_smith_normal_form(m)[0]
     assert smith_normal_form(tuple(map(tuple, m))) == smith_normal_form(m)
+
+
+def _oracle_kernel(row, target):
+    """The earlier loop of integer_kernel_and_solution, kept as an oracle
+    for its exact output: the first column of least nonzero |row . col|
+    pivots, until no other column pairs nonzero."""
+    n = len(row)
+    if all(x == 0 for x in row):
+        return ([0] * n if target == 0 else None), identity(n)
+    cols = identity(n)
+    vals = list(row)
+    while True:
+        p = min((i for i in range(n) if vals[i]), key=lambda i: abs(vals[i]))
+        vals[0], vals[p] = vals[p], vals[0]
+        cols[0], cols[p] = cols[p], cols[0]
+        for i in range(1, n):
+            q = vals[i] // vals[0]
+            vals[i] -= q * vals[0]
+            cols[i] = [x - q * y for x, y in zip(cols[i], cols[0])]
+        if not any(vals[1:]):
+            break
+    d = vals[0]
+    return (None if target % d else [target // d * x for x in cols[0]]), cols[1:]
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,10 +209,13 @@ def test_snf_matches_oracle(m):
 @example([0, 0, 0], -5)
 @example([0, 6, 0, -4, 10], 2)
 @example([-3, 0], 7)
+@example([4, 6, -4, 6], 2)  # ties for the least value: the first one pivots
 def test_integer_kernel_and_solution(row, target):
     g = gcd(*row)
     for t in (target, target * g):
         x0, kernel = integer_kernel_and_solution(row, t)
+        # the kernel feeds the LLL of `neighbors`: its output is pinned
+        assert (x0, kernel) == _oracle_kernel(row, t)
         assert (x0 is None) == (t % g != 0 if g else t != 0)
         if x0 is not None:
             assert len(x0) == len(row) and dot(row, x0) == t
@@ -283,6 +312,8 @@ def _symmetric_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_symmetric_matrices())
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 2]])  # symmetric swap after a pivot
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # fold at step 0
 def test_signature_matches_fraction_oracle(m):
     assert signature_of_symmetric(m) == _oracle_signature(m)
 
