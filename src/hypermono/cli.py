@@ -134,13 +134,17 @@ def cmd_build(args) -> tuple[str, int]:
 def cmd_gram(args) -> tuple[str, int]:
     m = _build(args)
     lat = lattice.invariant_form(m)
-    gate = lattice.quotient_gate(lat)
+    try:
+        gate = lattice.quotient_gate(lat)
+    except ValueError:  # the lattice is not hyperbolic: no gate applies
+        gate = None
     return _report({
         "gram": _mat(lat.gram),
         "parity": lat.parity,
         "invariant_factors": [int(d) for d in lat.inv_factors],
         "signature": lat.signature,
-        "gate": {"verdict": gate.verdict, "reason": gate.reason},
+        "gate": None if gate is None else {"verdict": gate.verdict,
+                                           "reason": gate.reason},
     })
 
 

@@ -3,12 +3,11 @@ neighbor enumeration, bidirectional path search, the reflection-product
 factorization witness, and the explicit 2-edge paths for the j = 3 family.
 
 `neighbors` enumerates a vertex's list exactly (kernel, LLL, Fincke-Pohst).
-`find_path` calls it only for its two roots, unless it is handed their
-lists: on an edge (p, u) the root a = p - u gives an integral reflection r_a
-that swaps p and u, so every other vertex's list is its parent's list
-reflected by r_a and sorted. `certify` enumerates at most one list, v's: the
-target's is v's moved by the isometry g, and when v's reflections cannot
-reach the target even mod 2 (`orbit_mod2`), no search runs."""
+`find_path` is handed its roots' lists; on an edge (p, u) the root a = p - u
+gives an integral reflection r_a that swaps p and u, so every other list is
+its parent's reflected by r_a and sorted. `certify` enumerates only v's list,
+and none for an adjacent target: the target's is v's moved by the isometry
+g, and when v's reflections cannot reach it even mod 2, no search runs."""
 
 from __future__ import annotations
 
@@ -128,7 +127,7 @@ def _reflected(cfg: GraphConfig, parent, node, near) -> list[tuple[int, ...]]:
     return out
 
 
-def find_path(cfg: GraphConfig, src, dst, roots=None) -> PathSearch:
+def find_path(cfg: GraphConfig, src, dst, roots) -> PathSearch:
     """Bidirectional breadth-first search for a shortest path of length at
     most max_depth; deterministic (frontiers and children in sorted order).
 
@@ -138,17 +137,13 @@ def find_path(cfg: GraphConfig, src, dst, roots=None) -> PathSearch:
     twice: each side's parents dedupe its frontier, and a vertex reached
     from both sides ends the search as a meet (the least, if several).
 
-    `neighbors` runs only for the two roots, src and dst, and not at all
-    when roots = (N(src), N(dst)) hands their sorted lists in. Every other
-    vertex was reached from a parent on the level its side expanded last,
-    and its list is the parent's list reflected across their edge
-    (`_reflected`). Each side keeps the lists of that one level until its
-    next level replaces them; the lists of the search's last level are not
-    kept.
-
-    Adjacent endpoints are read from (src, dst) alone: the search would
-    expand src once and meet dst among its neighbors, so the result is the
-    same, one node expanded, with no neighbor enumeration."""
+    roots = (N(src), N(dst)) hands in the two roots' sorted lists, so the
+    search enumerates none. Every other vertex was reached from a parent on
+    the level its side expanded last, and its list is the parent's list
+    reflected across their edge (`_reflected`). Each side keeps the lists
+    of that one level until its next level replaces them; the lists of the
+    search's last level are not kept. Adjacent endpoints meet on the first
+    level: (src, dst), one node expanded."""
     g = cfg.lattice.gram
     src = tuple(src)
     dst = tuple(dst)
@@ -157,8 +152,6 @@ def find_path(cfg: GraphConfig, src, dst, roots=None) -> PathSearch:
             raise ValueError("path endpoints must have norm -2")
     if src == dst:
         return PathSearch((src,), False, 0)
-    if bilinear(g, src, dst) == cfg.edge_value:
-        return PathSearch((src, dst), False, 1)
 
     parents = ({src: None}, {dst: None})
     frontiers = [[src], [dst]]
@@ -177,12 +170,10 @@ def find_path(cfg: GraphConfig, src, dst, roots=None) -> PathSearch:
                 return PathSearch(None, True, expanded)
             expanded += 1
             parent = parent_of[node]
-            if parent is not None:
-                near = _reflected(cfg, parent, node, near_lists[parent])
-            elif roots is not None:
+            if parent is None:
                 near = roots[s]
             else:
-                near = neighbors(cfg, node)
+                near = _reflected(cfg, parent, node, near_lists[parent])
             if keep:
                 new_lists[node] = near
             for w in near:
@@ -371,10 +362,11 @@ def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
     """Path from v to g.v in the distance graph + infinite-quotient gate.
 
     r_w = r_{-w}, so either sign of the target t certifies; only the sign
-    that pairs negatively with v is reachable. An adjacent t is read by
-    `find_path` from the pairing alone, with no neighbor enumeration.
-    Otherwise N(v) is enumerated once, and a search runs only when no proof
-    shows that no path exists at any depth (`no_path_proof`):
+    that pairs negatively with v is reachable. An adjacent t is read from
+    the pairing alone: the one-edge path, with v's one expansion counted
+    and no neighbor enumeration or search. Otherwise N(v) is enumerated
+    once, and a search runs only when no proof shows that no path exists
+    at any depth (`no_path_proof`):
 
     - "closed": N(v) is empty.
     - "mod2": t mod 2 is outside v's orbit mod 2 (`orbit_mod2`). Let
@@ -411,7 +403,7 @@ def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
     dst = tuple(sign if i == 1 else 0 for i in range(lat.n))
     proof = None
     if sign * lat.gram[0][1] == cfg.edge_value:
-        search = find_path(cfg, src, dst)
+        search = PathSearch((src, dst), False, 1)
     else:
         near = neighbors(cfg, src)
         if not near:

@@ -535,16 +535,15 @@ LLL_DELTA = Fraction(99, 100)
 
 def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
     """Integral LLL (Lenstra-Lenstra-Lovasz 1982; Cohen, Alg. 2.6.7) of
-    linearly independent integer vectors under an integral form that is
-    positive definite on their span. Integer arithmetic throughout: the
-    result is size-reduced (2|lam[i][j]| <= d[j+1]) and satisfies the Lovasz
-    condition d[i+1] d[i-1] >= LLL_DELTA d[i]^2 - lam[i][i-1]^2.
+    linearly independent integer vectors under a symmetric integral form
+    that is positive definite on their span. Integer arithmetic throughout:
+    the result is size-reduced (2|lam[i][j]| <= d[j+1]) and satisfies the
+    Lovasz condition d[i+1] d[i-1] >= LLL_DELTA d[i]^2 - lam[i][i-1]^2.
 
     Raises ValueError if the form is not positive definite on the span."""
     k = len(basis)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     b = [list(v) for v in basis]
-    gb = [mat_vec(gram, v) for v in b]
     d = [1] + [0] * k
     lam = [[0] * k for _ in range(k)]
 
@@ -553,16 +552,14 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
         if 2 * abs(lam[i][j]) <= dj:
             return
         q = (2 * lam[i][j] + dj) // (2 * dj)  # nearest integer to lam/dj
-        for rows in (b, gb):
-            rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+        b[i] = [x - q * y for x, y in zip(b[i], b[j])]
         lam[i][j] -= q * dj
         lam_i, lam_j = lam[i], lam[j]
         for t in range(j):
             lam_i[t] -= q * lam_j[t]
 
     def swap(i: int, top: int):  # exchange b_{i-1} and b_i (SWAPI)
-        for rows in (b, gb):
-            rows[i], rows[i - 1] = rows[i - 1], rows[i]
+        b[i], b[i - 1] = b[i - 1], b[i]
         lam_i, lam_p = lam[i], lam[i - 1]
         for j in range(i - 1):
             lam_i[j], lam_p[j] = lam_p[j], lam_i[j]
@@ -579,8 +576,10 @@ def lll_reduce(basis: list[Vec], gram: Mat) -> LLLReduction:
     while i < k:
         if i > top:
             top = i
+            # reduce and swap touch indices <= top, so b_i is still the input
+            gbi = mat_vec(gram, b[i])
             row, di = _gram_schmidt_row(
-                d, lam, [dot(b[i], gb[j]) for j in range(i)], dot(b[i], gb[i]))
+                d, lam, [dot(b[j], gbi) for j in range(i)], dot(b[i], gbi))
             if di <= 0:
                 raise ValueError("form is not positive definite on the span")
             lam[i][:i] = row

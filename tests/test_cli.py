@@ -64,6 +64,18 @@ def test_gram_report(capsys):
     assert d["gate"]["verdict"] == "InfiniteIndexCertified"
 
 
+def test_gram_reports_a_lattice_without_a_gate(capsys):
+    # a finite group: its lattice is definite, so the quotient gate, which
+    # needs a hyperbolic one, does not apply
+    code, d = run_json(capsys, ["gram", "--alpha", "0,1/3,2/3",
+                                "--beta", "1/2,1/4,3/4"])
+    assert code == 0
+    assert d["gram"] == [["-2", "-1", "-1"], ["-1", "-2", "-1"],
+                         ["-1", "-1", "-2"]]
+    assert d["signature"] == [0, 3]
+    assert d["gate"] is None
+
+
 def test_gram_rejects_failed_form_check(capsys, monkeypatch):
     build = levelt.build
 

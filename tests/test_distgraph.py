@@ -5,6 +5,7 @@ import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -228,10 +229,9 @@ def test_neighbors_match_oracle_on_families():
     assert expansions == 260
 
 
-# The breadth-first search before adjacent endpoints were read from their
-# pairing and lists were reflected from the parent's, kept as an oracle: it
-# expands src even when dst is one edge away, and enumerates every list. It
-# reads neighbor lists through the module, as find_path does for its two
+# The breadth-first search before lists were handed in and reflected from
+# the parent's, kept as an oracle: it enumerates every list. It reads
+# neighbor lists through the module, as `_find_path` does for the two
 # roots, so that a memo installed there serves both.
 
 def oracle_find_path(cfg, src, dst):
@@ -280,46 +280,52 @@ def oracle_find_path(cfg, src, dst):
     return PathSearch(None, False, expanded)
 
 
+def _find_path(cfg, src, dst):
+    """find_path handed both roots' lists, read through the module (so that
+    a memo installed there serves them). The search itself enumerates none:
+    `neighbors` raises while it runs."""
+    roots = (distgraph.neighbors(cfg, src), distgraph.neighbors(cfg, dst))
+    with mock.patch.object(distgraph, "neighbors", side_effect=AssertionError(
+            "find_path enumerated a list")):
+        return find_path(cfg, src, dst, roots)
+
+
 def _signed_basis(n):
     return [tuple(s * (i == j) for j in range(n))
             for i in range(n) for s in (1, -1)]
 
 
 def _memoize_neighbors(monkeypatch):
-    """Serve distgraph.neighbors from a memo keyed by (lattice, vertex), and
-    return the list of vertices it was asked for."""
+    """Serve distgraph.neighbors from a memo keyed by (lattice, vertex)."""
     memo = {}
-    asked = []
 
     def memoized(cfg, u):
         key = (cfg.lattice, tuple(u))
-        asked.append(key[1])
         if key not in memo:
             memo[key] = neighbors(cfg, u)
         return memo[key]
 
     monkeypatch.setattr(distgraph, "neighbors", memoized)
-    return asked
 
 
 def _assert_find_path_matches_oracle(lat, settings, monkeypatch):
     """Every pair of +-e_i endpoints under each (max_depth, node_budget).
-    Neighbor lists have their own oracle, so one memo serves the search and
-    its oracle; an adjacent pair asks it for none."""
+    Neighbor lists have their own oracle, so one memo serves the search's
+    two roots and its oracle; the search enumerates no list, and an
+    adjacent pair meets on its first level."""
     g = [list(r) for r in lat.gram]
     ends = _signed_basis(lat.n)
-    asked = _memoize_neighbors(monkeypatch)
+    _memoize_neighbors(monkeypatch)
     adjacent = 0
     for depth, budget in settings:
         cfg = config_for(lat, max_depth=depth, node_budget=budget)
         for src in ends:
             for dst in ends:
                 want = oracle_find_path(cfg, src, dst)
-                before = len(asked)
-                assert find_path(cfg, src, dst) == want, (
+                assert _find_path(cfg, src, dst) == want, (
                     depth, budget, src, dst)
                 if bilinear(g, list(src), list(dst)) == cfg.edge_value:
-                    assert want.nodes_expanded == 1 and len(asked) == before
+                    assert want.nodes_expanded == 1
                     adjacent += 1
     return adjacent
 
@@ -374,7 +380,7 @@ def test_certify_is_one_search_under_its_budget():
         near, _ = _near_and_far_targets(lat)
         rep = certify(m)
         assert rep.path, fid
-        assert_same(rep, find_path(config_for(lat), _e(lat.n, 0), near))
+        assert_same(rep, _find_path(config_for(lat), _e(lat.n, 0), near))
 
     # M1(3, 5) has a path of length 2, found by expanding both roots
     m = build(make_family(FamilyId("M1", 3, None, 5)))
@@ -383,9 +389,10 @@ def test_certify_is_one_search_under_its_budget():
     full = certify(m)
     assert full.status == THIN_CERTIFIED and len(full.path) == 3
     assert not full.budget_exhausted and full.nodes_expanded == 2
-    assert_same(full, find_path(config_for(lat), _e(5, 0), near))
+    assert_same(full, _find_path(config_for(lat), _e(5, 0), near))
     rep = certify(m, node_budget=1)
-    assert_same(rep, find_path(config_for(lat, node_budget=1), _e(5, 0), near))
+    assert_same(rep, _find_path(config_for(lat, node_budget=1), _e(5, 0),
+                                near))
     assert rep.nodes_expanded == 1
     assert rep.status == NO_PATH_FOUND
     assert rep.detail == "node budget exhausted before the depth limit"
@@ -495,7 +502,7 @@ def test_excluded_components_miss_the_target():
         lat = invariant_form(m)
         cfg = config_for(lat, max_depth=10)
         for sign in (1, -1):
-            search = find_path(cfg, _e(lat.n, 0), _e(lat.n, 1, sign))
+            search = _find_path(cfg, _e(lat.n, 0), _e(lat.n, 1, sign))
             assert search.path is None and not search.budget_exhausted, fid
     assert excluded == 13
 
@@ -513,10 +520,9 @@ def test_certify_enumerates_at_most_one_list(monkeypatch):
         calls.append(u)
         return listed(cfg, u)
 
-    def checked(cfg, src, dst, roots=None):
-        if roots is not None:
-            assert roots == (listed(cfg, src), listed(cfg, dst)), dst
-            seeded.append(dst)
+    def checked(cfg, src, dst, roots):
+        assert roots == (listed(cfg, src), listed(cfg, dst)), dst
+        seeded.append(dst)
         return search(cfg, src, dst, roots)
 
     monkeypatch.setattr(distgraph, "neighbors", counted)
@@ -532,6 +538,30 @@ def test_certify_enumerates_at_most_one_list(monkeypatch):
     assert len(seeded) == 58  # the paths of length 2
 
 
+def test_certify_reads_an_adjacent_target_from_its_pairing(monkeypatch):
+    # an adjacent target is the one-edge path, with v's one expansion
+    # counted: certify enumerates no list and runs no search
+    def refuse(*args):
+        raise AssertionError("an adjacent certificate enumerated or searched")
+
+    systems = list(_hyperbolic_systems((3, 5, 7, 9, 11, 13)))
+    systems += [(fid, build(make_family(fid))) for fid in N31_IDS]
+    monkeypatch.setattr(distgraph, "neighbors", refuse)
+    monkeypatch.setattr(distgraph, "find_path", refuse)
+    adjacent = []
+    for fid, m in systems:
+        lat = invariant_form(m)
+        e0 = _e(lat.n, 0)
+        near, _ = _near_and_far_targets(lat)
+        if bilinear(lat.gram, e0, near) != config_for(lat).edge_value:
+            continue
+        rep = certify(m)
+        assert rep.path == (e0, near), fid
+        assert rep.nodes_expanded == 1 and not rep.budget_exhausted, fid
+        adjacent.append(fid)
+    assert len(adjacent) == 72 and set(N31_IDS) <= set(adjacent)
+
+
 def test_paths_stay_on_the_sheet_of_v(monkeypatch):
     # In signature (n-1, 1) two norm -2 vectors lie on one sheet exactly
     # when they pair at <= -2, and edges pair at -3 or -4: the target sign
@@ -544,7 +574,7 @@ def test_paths_stay_on_the_sheet_of_v(monkeypatch):
         assert lat.signature == (lat.n - 1, 1), fid
         e0 = _e(lat.n, 0)
         _, far = _near_and_far_targets(lat)
-        search = find_path(config_for(lat, max_depth=5), e0, far)
+        search = _find_path(config_for(lat, max_depth=5), e0, far)
         assert search.path is None and not search.budget_exhausted, fid
         rep = certify(m)
         assert all(bilinear(lat.gram, e0, p) < 0 for p in rep.path), fid
@@ -590,7 +620,7 @@ def test_reflected_lists_match_neighbors(monkeypatch):
         e0 = _e(lat.n, 0)
         far = _e(lat.n, 2, 1 if lat.gram[0][2] > 0 else -1)
         roots = (e0, far)
-        search = find_path(config_for(lat), e0, far)
+        search = _find_path(config_for(lat), e0, far)
         assert search.path is None and not search.budget_exhausted, fid
     # lists reflected from a reflected list, not only from a root's
     assert deep > 1000
@@ -631,9 +661,9 @@ def test_find_path_trivial_and_short():
     cfg = config_for(lat)
     e1 = (1, 0, 0, 0, 0)
     e2 = (0, 1, 0, 0, 0)
-    res = find_path(cfg, e1, e1)
+    res = _find_path(cfg, e1, e1)
     assert res.path == (e1,)
-    res = find_path(cfg, e1, e2)
+    res = _find_path(cfg, e1, e2)
     assert res.path == (e1, e2)
 
 
@@ -910,7 +940,7 @@ def test_factorize_path_empty_and_full():
     cfg = config_for(lat)
     assert factorize_path(cfg, []).pairs == ()
     e1 = (1, 0, 0, 0, 0)
-    res = find_path(cfg, e1, (0, 0, 1, 0, 0), )
+    res = _find_path(cfg, e1, (0, 0, 1, 0, 0))
     assert res.path is not None
     witness = factorize_path(cfg, res.path)
     assert len(witness.pairs) == len(res.path) - 1
