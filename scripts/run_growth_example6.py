@@ -24,13 +24,7 @@ def main():
     run = growth_run([ex.A, ex.B], args.tmin, args.tmax, args.points,
                      args.word_limit)
 
-    lines = ["T,count,log10T,log10N"]
-    import math
-    for t, c in zip(run.t_grid, run.counts):
-        lt = math.log10(t)
-        lc = math.log10(c) if c else ""
-        lines.append(f"{t},{c},{lt},{lc}")
-    body = "\n".join(lines)
+    body = "\n".join(run.csv_lines())
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(body + "\n")

@@ -169,11 +169,7 @@ def cmd_growth(args) -> tuple[str, int]:
     m = _build(args)
     run = growth.growth_run([m.A, m.B], args.tmin, args.tmax, args.points,
                             args.word_limit, margin=args.margin)
-    import math
-    lines = ["T,count,log10T,log10N"]
-    for t, c in zip(run.t_grid, run.counts):
-        logn = math.log10(c) if c > 0 else ""
-        lines.append(f"{t},{c},{math.log10(t)},{logn}")
+    lines = run.csv_lines()
     meta = {"slope": run.slope, "residual": run.residual,
             "word_limit": run.word_limit, "margin": run.margin}
     lines.append(json.dumps(meta, sort_keys=True))

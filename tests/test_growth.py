@@ -1,11 +1,14 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_word_bfs import GROWTH_CASES
+from test_word_bfs import GROWTH_CASES, _flat_ball, oracle_ball
 
 from hypermono import growth
 from hypermono.appendix_data import EXAMPLES
 from hypermono.exact import flat_mat_mul, flatten, identity, mat_mul
+from hypermono.exponents import poly_from_structure
 from hypermono.growth import (
     closure_under_inverse,
     enumerate_ball,
@@ -101,6 +104,58 @@ def test_saturation_stops_at_its_element_bound(monkeypatch):
         growth_run(runaway, 2, 10, 4, 16)
     with pytest.raises(ValueError, match="within 1000 elements"):
         enumerate_ball(runaway, 10, 16)
+
+
+def test_element_bound_counts_elements_not_orbits(monkeypatch):
+    # theta swaps GEN_A and GEN_B, so the search runs on orbits, most of
+    # them two elements: the bound still falls between elements
+    gens, t, limit = [GEN_A, GEN_B], 30, 6
+    n = len(_flat_ball(gens, limit, (4 * t) ** 2))
+    monkeypatch.setattr(growth, "SATURATION_BOUND", n)
+    assert (enumerate_ball(gens, t, limit).count
+            == oracle_ball(gens, t, limit)[0])
+    monkeypatch.setattr(growth, "SATURATION_BOUND", n - 1)
+    with pytest.raises(ValueError, match=f"within {n - 1} elements"):
+        enumerate_ball(gens, t, limit)
+    with pytest.raises(ValueError, match=f"within {n - 1} elements"):
+        growth_run(gens, 2, t, 4, limit)
+
+
+# the cyclotomic polynomials of degree at most 4, by their index
+CYCLOTOMIC_DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 5: 4, 8: 4, 10: 4, 12: 4}
+
+
+@st.composite
+def cyclotomic_products(draw, degree):
+    """The coefficients of a product of cyclotomic polynomials, of the
+    given degree."""
+    factors = Counter()
+    while degree:
+        d = draw(st.sampled_from([d for d, k in CYCLOTOMIC_DEGREE.items()
+                                  if k <= degree]))
+        factors[d] += 1
+        degree -= CYCLOTOMIC_DEGREE[d]
+    return poly_from_structure(factors)
+
+
+@st.composite
+def hypergeometric_pairs(draw):
+    degree = draw(st.integers(2, 5))
+    return [companion_matrix(draw(cyclotomic_products(degree)))
+            for _ in range(2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergeometric_pairs(), st.integers(2, 6), st.integers(0, 5))
+def test_reversal_inverts_cyclotomic_companions(gens, t, limit):
+    # z^n p(1/z) = p(0) p(z): R A R is A^-1, so theta(g) = R g R permutes
+    # the letters and the orbit search counts the oracle's ball
+    n = len(gens[0])
+    for a in gens:
+        rar = [row[::-1] for row in a[::-1]]
+        assert mat_mul(rar, a) == identity(n)
+    res = enumerate_ball(gens, t, limit)
+    assert (res.count, res.truncated) == oracle_ball(gens, t, limit)
 
 
 def test_example_6_saturates_under_the_default_bound():

@@ -9,6 +9,7 @@ CPython 3.12 on, `sum()` of floats is compensated, which would make the
 oracle's arithmetic depend on the interpreter."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -368,12 +369,12 @@ GEN_B_INV = [[1, 0], [-2, 1]]
 TOY = [GEN_A, SWAP, GEN_A, GEN_B_INV]
 
 
-def _flat_ball(generators, depth, prune_sq, inverse=None):
+def _flat_ball(generators, depth, prune_sq, inverse=None, mul=flat_mat_mul):
     gens = [tuple(x for row in g for x in row)
             for g in closure_under_inverse(generators)]
     n = math.isqrt(len(gens[0]))
     start = tuple(int(i == j) for i in range(n) for j in range(n))
-    return list(word_bfs(start, gens, flat_mat_mul, tuple, depth,
+    return list(word_bfs(start, gens, mul, tuple, depth,
                          keep=lambda g: sum(x * x for x in g) <= prune_sq,
                          inverse=inverse))
 
@@ -406,27 +407,66 @@ NORM_STREAM_CASES = [
                   id="ex6 A,B T=10000 depth=12")]
 
 
+def _theta_permutes_letters(generators):
+    flat = {tuple(x for row in g for x in row)
+            for g in closure_under_inverse(generators)}
+    return all(g[::-1] in flat for g in flat)
+
+
+def _reps(monkeypatch):
+    """Record each element that growth's word_bfs yields: the orbit
+    representatives behind the (length, norm, weight) stream."""
+    seen, real_bfs = [], growth.word_bfs
+
+    def recording_bfs(*args, **kwargs):
+        for length, x in real_bfs(*args, **kwargs):
+            seen.append(x)
+            yield length, x
+    monkeypatch.setattr(growth, "word_bfs", recording_bfs)
+    return seen
+
+
 @pytest.mark.parametrize("generators, t, depth", NORM_STREAM_CASES)
-def test_norm_stream_matches_row_major_products(generators, t, depth):
-    # the same letters in the same order, multiplied as row-major flat
-    # tuples, each norm a sum of squares
+def test_norm_stream_matches_row_major_products(generators, t, depth,
+                                                monkeypatch):
+    # the same ball as row-major flat tuples multiplied out, each norm a
+    # sum of squares: level by level, each representative's norm taken
+    # weight times is the oracle's multiset of norms at that level
     inverse = growth._closure_and_inverse(generators)[1]
-    want = [(length, sum(x * x for x in g)) for length, g in
-            _flat_ball(generators, depth, (4 * t) ** 2, inverse)]
+    want = [Counter() for _ in range(depth + 1)]
+    want_fixed = [Counter() for _ in range(depth + 1)]
+    for length, g in _flat_ball(generators, depth, (4 * t) ** 2, inverse):
+        want[length][sum(x * x for x in g)] += 1
+        if g == g[::-1]:  # theta(g) = g, in any flat layout
+            want_fixed[length][sum(x * x for x in g)] += 1
+    reps = _reps(monkeypatch)
     got = list(growth._norm_stream(generators, t, depth, 4))
-    assert len(got) == len(want)
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a == b, f"element {i}"
+    assert [length for length, _, _ in got] == sorted(
+        length for length, _, _ in got)
+    levels = [Counter() for _ in range(depth + 1)]
+    fixed = [Counter() for _ in range(depth + 1)]
+    orbits = _theta_permutes_letters(generators)
+    for (length, fs, w), x in zip(got, reps, strict=True):
+        levels[length][fs] += w
+        x = x[:-1]
+        # weight 1 exactly when theta fixes x; every weight is 1 without
+        # theta
+        assert w == (2 if orbits and x != x[::-1] else 1)
+        if w == 1:
+            fixed[length][fs] += 1
+    assert levels == want
+    if orbits:
+        assert fixed == want_fixed
 
 
 def test_growth_products_skip_backtracks(monkeypatch):
-    # every element past the identity forms one product fewer than there
-    # are generators: the one back to its parent
+    # every representative past the identity forms one product fewer than
+    # there are generators: the one back to its parent
     generators = dict(GROWTH_CASES)["ex6 A,B"]
     ngens = len(closure_under_inverse(generators))
     real_mul = growth.mat_mul
     for limit in (0, 1, 5):
-        lengths = [length for length, _ in
+        lengths = [length for length, _, _ in
                    growth._norm_stream(generators, 50, limit, 4)]
         calls = [0]
 
@@ -439,6 +479,52 @@ def test_growth_products_skip_backtracks(monkeypatch):
         monkeypatch.setattr(growth, "mat_mul", real_mul)
         inner = sum(1 <= length < limit for length in lengths)
         assert calls[0] == (ngens + (ngens - 1) * inner if limit else 0)
+
+
+# the cases whose closed letter set theta(g) = R g R does not permute:
+# theta(A B) = A^-1 B^-1 is not (A B)^-1, and these X, Y pairs are not
+# reversal-symmetric
+PLAIN_CASES = ("ex6 A,AB", "ex1 X,Y", "ex2 X,Y", "ex4 X,Y")
+
+
+def _uses_orbits(generators, monkeypatch):
+    keys, real_bfs = [], growth.word_bfs
+
+    def spying_bfs(*args, **kwargs):
+        keys.append(args[3])
+        return real_bfs(*args, **kwargs)
+    monkeypatch.setattr(growth, "word_bfs", spying_bfs)
+    enumerate_ball(generators, 10, 1)
+    monkeypatch.setattr(growth, "word_bfs", real_bfs)
+    return keys[0] is not tuple
+
+
+@pytest.mark.parametrize("name, generators",
+                         GROWTH_CASES + [("toy", TOY)],
+                         ids=[name for name, _ in GROWTH_CASES] + ["toy"])
+def test_orbit_path_selection(name, generators, monkeypatch):
+    assert _uses_orbits(generators, monkeypatch) == (name not in PLAIN_CASES)
+    # exactly when theta maps the closed letter set onto itself
+    assert _theta_permutes_letters(generators) == (name not in PLAIN_CASES)
+
+
+def test_orbits_halve_the_products(monkeypatch):
+    generators = dict(GROWTH_CASES)["ex6 A,B"]
+    inverse = growth._closure_and_inverse(generators)[1]
+    plain = [0]
+
+    def counted_flat(a, b):
+        plain[0] += 1
+        return flat_mat_mul(a, b)
+    _flat_ball(generators, 12, (4 * 10 ** 4) ** 2, inverse, counted_flat)
+    calls, real_mul = [0], growth.mat_mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return real_mul(a, b)
+    monkeypatch.setattr(growth, "mat_mul", counted)
+    enumerate_ball(generators, 10 ** 4, 12)
+    assert 0.48 * plain[0] < calls[0] < 0.52 * plain[0]
 
 
 def test_word_limit_zero_forms_no_product(monkeypatch):
