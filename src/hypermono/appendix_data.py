@@ -20,7 +20,6 @@ Q2 = _m([[0, 0, F(-1, 2)], [0, 1, 0], [F(-1, 2), 0, 0]])
 
 @dataclass(frozen=True)
 class Rank3Example:
-    example_id: int
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     f: tuple
@@ -42,7 +41,6 @@ class Rank3Example:
 
 EXAMPLES: dict[int, Rank3Example] = {
     1: Rank3Example(
-        example_id=1,
         alpha=(F(1, 2), F(1, 2), F(1, 2)),
         beta=(F(0), F(0), F(0)),
         f=_m([[1, 0, -3], [0, 1, 0], [-3, 0, 1]]),
@@ -69,7 +67,6 @@ EXAMPLES: dict[int, Rank3Example] = {
         ),
     ),
     2: Rank3Example(
-        example_id=2,
         alpha=(F(1, 3), F(1, 2), F(2, 3)),
         beta=(F(0), F(0), F(0)),
         f=_m([[7, 1, -17], [1, 7, 1], [-17, 1, 7]]),
@@ -94,7 +91,6 @@ EXAMPLES: dict[int, Rank3Example] = {
         ),
     ),
     3: Rank3Example(
-        example_id=3,
         alpha=(F(1, 4), F(1, 2), F(3, 4)),
         beta=(F(0), F(0), F(0)),
         f=_m([[3, 1, -5], [1, 3, 1], [-5, 1, 3]]),
@@ -115,7 +111,6 @@ EXAMPLES: dict[int, Rank3Example] = {
         congruence_targets=None,  # the witnesses are the words XY and YX
     ),
     4: Rank3Example(
-        example_id=4,
         alpha=(F(1, 6), F(1, 2), F(5, 6)),
         beta=(F(0), F(0), F(0)),
         f=_m([[5, 3, -3], [3, 5, 3], [-3, 3, 5]]),
@@ -140,7 +135,6 @@ EXAMPLES: dict[int, Rank3Example] = {
         congruence_targets=None,
     ),
     5: Rank3Example(
-        example_id=5,
         alpha=(F(1, 3), F(1, 2), F(2, 3)),
         beta=(F(0), F(1, 4), F(3, 4)),
         f=_m([[5, -1, -7], [-1, 5, -1], [-7, -1, 5]]),
@@ -149,7 +143,6 @@ EXAMPLES: dict[int, Rank3Example] = {
         isotropic=False,
     ),
     6: Rank3Example(
-        example_id=6,
         alpha=(F(1, 3), F(1, 2), F(2, 3)),
         beta=(F(0), F(1, 6), F(5, 6)),
         f=_m([[1, 0, -2], [0, 1, 0], [-2, 0, 1]]),

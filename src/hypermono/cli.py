@@ -28,16 +28,11 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-class CliError(ValueError):
-    """Invalid input that only the CLI can see; exits 2, as the library's
-    own ValueErrors do."""
-
-
 def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"malformed rational list {text!r}: {exc}")
+        raise ValueError(f"malformed rational list {text!r}: {exc}")
 
 
 def _rat(x) -> str:
@@ -60,7 +55,7 @@ def _pair_json(pair: ExponentPair) -> dict:
 
 def _make_pair(args) -> ExponentPair:
     if args.alpha is None or args.beta is None:
-        raise CliError("--alpha and --beta are required")
+        raise ValueError("--alpha and --beta are required")
     return ExponentPair.make(_parse_rational_list(args.alpha),
                              _parse_rational_list(args.beta))
 
@@ -73,13 +68,13 @@ def _resolve_pair(args) -> ExponentPair:
 
 def _family_pair(args) -> ExponentPair:
     if args.n is None:
-        raise CliError("--n is required with --name")
+        raise ValueError("--n is required with --name")
     j = args.j if args.j is not None else 1
     fid = FamilyId(args.name, j, args.k, args.n)
     try:
         return make_family(fid)
     except ValueError as exc:  # the message already names fid
-        raise CliError(f"invalid family parameters {exc}")
+        raise ValueError(f"invalid family parameters {exc}")
 
 
 def _report(out: dict, code: int = EXIT_OK) -> tuple[str, int]:
@@ -100,7 +95,7 @@ def cmd_classify(args) -> tuple[str, int]:
     pair = _make_pair(args)
     cls = classify(pair)
     if not cls.disjoint:
-        raise CliError(levelt.SHARED_EXPONENT)
+        raise ValueError(levelt.SHARED_EXPONENT)
     out = _pair_json(pair)
     out.update(_classification_json(cls))
     out["families"] = [str(f) for f in match_family(pair)]
@@ -190,7 +185,7 @@ def cmd_landau(args) -> tuple[str, int]:
 
 def cmd_appendix(args) -> tuple[str, int]:
     if args.example not in EXAMPLES:
-        raise CliError("example must be between 1 and 6")
+        raise ValueError("example must be between 1 and 6")
     ex = EXAMPLES[args.example]
     rep = spin.verify_basis_change(args.example)
     out = {
@@ -259,34 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "family": cmd_family,
-    "build": cmd_build,
-    "gram": cmd_gram,
-    "certify": cmd_certify,
-    "growth": cmd_growth,
-    "landau": cmd_landau,
-    "appendix": cmd_appendix,
-}
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def run(argv) -> int:
     """Parse, run one command, write its report; returns the exit code.
-    Every invalid input, the CLI's own or the library's ValueError, exits 2
-    with {"error": message}."""
+    Command `name` is the module's `cmd_name`, looked up at call time.
+    Every invalid input, a ValueError from the CLI or the library or an
+    unwritable --output, exits 2 with {"error": message}."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        text, code = _COMMANDS[args.command](args)
+        text, code = globals()[f"cmd_{args.command}"](args)
+        if args.output:
+            _write(args.output, text)
     except ValueError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, indent=2) + "\n")
         return EXIT_INVALID
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     sys.stdout.write(text)
     return code
 

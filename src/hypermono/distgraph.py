@@ -50,8 +50,8 @@ NODE_BUDGET = 1_000_000  # default limit on the vertices it expands
 @dataclass(frozen=True)
 class GraphConfig:
     lattice: QuadLattice
-    max_depth: int = MAX_DEPTH
-    node_budget: int = NODE_BUDGET
+    max_depth: int
+    node_budget: int
 
     def __post_init__(self):
         if self.max_depth < 1 or self.node_budget < 1:
@@ -199,19 +199,16 @@ def find_path(cfg: GraphConfig, src, dst, roots) -> PathSearch:
     return PathSearch(None, False, expanded)
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
-    pairs: tuple[tuple[RootVector, RootVector], ...]
-
-
-def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
-    """For each edge (u,w): the roots u-w and u-2w (even; both norm +2) or
-    u-w and u-3w (odd; both norm +4) with r_u r_w = r_{u-w} r_{u-2w} (resp.
-    r_{u-w} r_{u-3w}) and r_{u-w}(u) = w, verified exactly, plus the
-    telescoped product identity over the whole path. Every product is formed
-    as a rank-two update (`reflection_product`), in O(n^2) per edge, and
-    each vertex's and edge root's coreflection is formed once, from one
-    product G v (`root_vector`)."""
+def factorize_path(cfg: GraphConfig,
+                   path) -> tuple[tuple[RootVector, RootVector], ...]:
+    """For each edge (u,w), in path order, the roots u-w and u-2w (even;
+    both norm +2) or u-w and u-3w (odd; both norm +4) with
+    r_u r_w = r_{u-w} r_{u-2w} (resp. r_{u-w} r_{u-3w}) and r_{u-w}(u) = w,
+    verified exactly, plus the telescoped product identity over the whole
+    path. Every product is formed as a rank-two update
+    (`reflection_product`), in O(n^2) per edge, and each vertex's and edge
+    root's coreflection is formed once, from one product G v
+    (`root_vector`)."""
     lat = cfg.lattice
     verts = [root_vector(lat, p) for p in path]
     mult = 2 if lat.parity == EVEN_TYPE else 3
@@ -238,7 +235,7 @@ def factorize_path(cfg: GraphConfig, path) -> FactorizationWitness:
     if verts and not mat_eq(reflection_product(verts[0], verts[-1], one),
                             telescoped):
         raise AssertionError("telescoped product identity failed")
-    return FactorizationWitness(tuple(pairs))
+    return tuple(pairs)
 
 
 def explicit_path_N1_3(n: int) -> list[list[int]]:
@@ -422,7 +419,7 @@ def certify(m: MonodromySystem, *, max_depth: int = MAX_DEPTH,
                   f"no path within depth {max_depth}")
     else:
         path = search.path
-        pairs = factorize_path(cfg, path).pairs
+        pairs = factorize_path(cfg, path)
         status = (THIN_CERTIFIED if gate.verdict == CERTIFIED
                   else PATH_FOUND_GATE_INCONCLUSIVE)
         detail = f"path of length {len(path) - 1}; {gate.reason}"

@@ -75,7 +75,6 @@ class Classification:
     sig_defect: int
     category: str | None  # "Finite" | "Symplectic" | "Orthogonal" | None
     hyperbolic: bool
-    c_ratio: int | None  # +1 or -1 when defined
 
 
 def classify(pair: ExponentPair) -> Classification:
@@ -90,26 +89,20 @@ def classify(pair: ExponentPair) -> Classification:
     for j, aj in enumerate(a, start=1):
         s += (-1) ** (j + bisect_left(b, aj))
     defect = abs(s)
-    # c ratio = P(0)/Q(0) = e^{2 pi i (sum a - sum b)}
-    diff = sum(a) - sum(b)
-    if diff.denominator == 1:
-        c_ratio = 1
-    elif (2 * diff).denominator == 1:
-        c_ratio = -1
-    else:
-        c_ratio = None
+    # c ratio = P(0)/Q(0) = e^{2 pi i (sum a - sum b)}, 1 when the sums
+    # differ by an integer
+    c_is_one = (sum(a) - sum(b)).denominator == 1
     category: str | None
     if not cyclotomic or not disjoint:
         category = None
     elif defect == n:
         category = "Finite"
-    elif n % 2 == 0 and c_ratio == 1:
+    elif n % 2 == 0 and c_is_one:
         category = "Symplectic"
     else:
         category = "Orthogonal"
     hyperbolic = category == "Orthogonal" and defect == n - 2
-    return Classification(cyclotomic, disjoint, defect, category, hyperbolic,
-                          c_ratio)
+    return Classification(cyclotomic, disjoint, defect, category, hyperbolic)
 
 
 def scalar_shift(pair: ExponentPair, d) -> ExponentPair:

@@ -42,6 +42,7 @@ MARGIN = 4  # default pruning radius, as a multiple of T
 # elements any enumeration may reach; example 6 at T = 10 000 holds
 # 110 723 when it saturates
 SATURATION_BOUND = 1_000_000
+WORD_LIMITS = range(4, 64, 2)  # the word limits L saturation tries
 
 
 def mat_mul(x: tuple, g: tuple) -> tuple:
@@ -242,7 +243,7 @@ def growth_run(generators, t_min: int, t_max: int, points: int,
     saturated_word_limit(generators, t_max, margin=margin) does."""
     grid = geometric_grid(t_min, t_max, points)
     if word_limit is None:
-        word_limit, norms = _saturate(generators, t_max, margin=margin)
+        word_limit, norms = _saturate(generators, t_max, margin)
     else:
         norms = []
         for _, fs, w in _norm_stream(generators, t_max, word_limit, margin):
@@ -254,16 +255,14 @@ def growth_run(generators, t_min: int, t_max: int, points: int,
                      slope, rss)
 
 
-def _saturate(generators, t: int, *, start: int = 4, margin: int = MARGIN,
-              max_limit: int = 64) -> tuple[int, list[int]]:
-    """Smallest word limit L in start, start + 2, ... below max_limit whose
-    ball count at T equals the count at L + 2, with the norms of the words
-    of length <= L. The words of length <= L are a prefix of those of
-    length <= L + 2, so one enumeration serves every L; it is read to the
-    first element past level L + 2. Raises ValueError when no such L
-    exists, or past SATURATION_BOUND elements (`_norm_stream`)."""
-    limits = range(start, max_limit, 2)
-    depth = limits[-1] + 2 if limits else 0
+def _saturate(generators, t: int, margin: int) -> tuple[int, list[int]]:
+    """Smallest word limit L in WORD_LIMITS (4, 6, ..., 62) whose ball count
+    at T equals the count at L + 2, with the norms of the words of length
+    <= L. The words of length <= L are a prefix of those of length <= L + 2,
+    so one enumeration serves every L; it is read to the first element past
+    level L + 2. Raises ValueError when no such L exists, or past
+    SATURATION_BOUND elements (`_norm_stream`)."""
+    depth = WORD_LIMITS[-1] + 2
     stream = _norm_stream(generators, t, depth, margin)
     norms, levels = [], []  # levels[k]: (len(norms), ball count) at limit k
     count = 0
@@ -276,14 +275,12 @@ def _saturate(generators, t: int, *, start: int = 4, margin: int = MARGIN,
                 count += w
             pending = next(stream, None)
         levels.append((len(norms), count))
-        if k - 2 in limits and levels[k - 2][1] == count:
+        if k - 2 in WORD_LIMITS and levels[k - 2][1] == count:
             del norms[levels[k - 2][0]:]
             return k - 2, norms
-    raise ValueError(f"no saturation below word limit {max_limit}")
+    raise ValueError(f"no saturation below word limit {WORD_LIMITS.stop}")
 
 
-def saturated_word_limit(generators, t: int, *, start: int = 4,
-                         margin: int = MARGIN, max_limit: int = 64) -> int:
+def saturated_word_limit(generators, t: int, *, margin: int = MARGIN) -> int:
     """Smallest word limit whose ball count matches the count at limit + 2."""
-    return _saturate(generators, t, start=start, margin=margin,
-                     max_limit=max_limit)[0]
+    return _saturate(generators, t, margin)[0]

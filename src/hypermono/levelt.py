@@ -39,11 +39,6 @@ class MonodromySystem:
     def n(self) -> int:
         return len(self.v)
 
-    def rotation_matrix(self) -> list[list[int]]:
-        if self.rotation_generator is None:
-            raise ValueError("no finite-order generator available")
-        return self.basis_generator()
-
     def basis_generator(self) -> list[list[int]]:
         """Generator whose powers of v span the lattice: the finite-order
         one when available, else A (both infinite-order works too)."""
@@ -131,8 +126,11 @@ def lattice_basis(m: MonodromySystem) -> list[list[int]]:
 
 
 def hr_generators(m: MonodromySystem, count: int) -> list[list[list[int]]]:
-    """Cartan involutions -g^i C g^{-i} for i = 0..count-1."""
-    g = m.rotation_matrix()
+    """Cartan involutions -g^i C g^{-i} for i = 0..count-1, g the
+    finite-order generator."""
+    if m.rotation_generator is None:
+        raise ValueError("no finite-order generator available")
+    g = m.basis_generator()
     # g has finite order, so g^{-1} = g^(order - 1), by repeated squaring
     ginv, sq, e = identity(m.n), g, m.rotation_order - 1
     while e:

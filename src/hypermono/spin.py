@@ -97,7 +97,6 @@ def word_search(generators, target, max_len: int):
 
 @dataclass(frozen=True)
 class BasisChangeReport:
-    example_id: int
     isotropic: bool
     checks: tuple[tuple[str, bool], ...]
 
@@ -112,8 +111,8 @@ def verify_basis_change(example_id: int) -> BasisChangeReport:
     <A', B'>, and the spin preimages X, Y mapping onto A', B'."""
     ex = EXAMPLES[example_id]
     if not ex.isotropic:
-        return BasisChangeReport(example_id, False,
-                                 (("anisotropic form, no basis change", True),))
+        return BasisChangeReport(
+            False, (("anisotropic form, no basis change", True),))
     m = ex.M
     lhs = [[ex.form_scalar * x for x in row]
            for row in mat_mul(mat_mul(transpose(m), ex.f), m)]
@@ -134,7 +133,7 @@ def verify_basis_change(example_id: int) -> BasisChangeReport:
     sy = spin(ex.spin_which, ex.Y)
     checks.append(("spin(X) = A' (up to sign/transpose)", matches(sx, ex.A_prime)))
     checks.append(("spin(Y) = B' (up to sign/transpose)", matches(sy, ex.B_prime)))
-    return BasisChangeReport(example_id, True, tuple(checks))
+    return BasisChangeReport(True, tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,29 @@ def test_output_flag(tmp_path, capsys):
     assert d["v"] == ["3", "-2", "2", "-1", "2"]
 
 
+@pytest.mark.parametrize("where", ["missing/dir/report.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    # a path under a missing directory, and a path that is a directory
+    out = tmp_path / where
+    code, d = run_json(capsys, ["--output", str(out), "build", "--name", "M1",
+                                "--n", "5"])
+    assert code == 2
+    assert set(d) == {"error"} and str(out) in d["error"]
+
+
+def test_run_looks_commands_up_at_call_time(monkeypatch, capsys):
+    calls = []
+
+    def fake_gram(args):
+        calls.append(args.name)
+        return "patched\n", 0
+
+    monkeypatch.setattr(cli, "cmd_gram", fake_gram)
+    assert run(["gram", "--name", "M1", "--n", "5"]) == 0
+    assert calls == ["M1"]
+    assert capsys.readouterr().out == "patched\n"
+
+
 def test_growth_csv(capsys):
     code = run(["growth", "--name", "M1", "--n", "3", "--tmin", "10",
                 "--tmax", "300", "--points", "6", "--word-limit", "8"])

@@ -645,11 +645,12 @@ def test_neighbors_rejects_wrong_norm():
 
 def test_rotation_equivariance():
     m = build(make_family(FamilyId("N1", 1, 7, 7)))
+    assert m.rotation_generator is not None  # the basis generator rotates
     lat = invariant_form(m)
     cfg = config_for(lat)
     basis = lattice_basis(m)
     t = [list(col) for col in zip(*basis)]
-    gl = mat_to_int(mat_mul(mat_mul(mat_inv(t), m.rotation_matrix()), t))
+    gl = mat_to_int(mat_mul(mat_mul(mat_inv(t), m.basis_generator()), t))
     u = (1, 0, 0, 0, 0, 0, 0)
     gu = tuple(mat_vec(gl, list(u)))
     lhs = {tuple(mat_vec(gl, list(w))) for w in neighbors(cfg, u)}
@@ -919,7 +920,7 @@ def test_factorize_path_rejects_mutated_paths():
         g = [list(r) for r in lat.gram]
         u = [1] + [0] * (lat.n - 1)
         w = list(neighbors(cfg, u)[0])
-        assert len(factorize_path(cfg, [u, w, u]).pairs) == 2
+        assert len(factorize_path(cfg, [u, w, u])) == 2
         far = next(list(x) for x in _signed_basis(lat.n)
                    if bilinear(g, u, list(x)) != cfg.edge_value
                    and bilinear(g, w, list(x)) != cfg.edge_value)
@@ -938,13 +939,13 @@ def test_factorize_path_rejects_mutated_paths():
 def test_factorize_path_empty_and_full():
     lat = family_lattice(FamilyId("N1", 1, 5, 5))
     cfg = config_for(lat)
-    assert factorize_path(cfg, []).pairs == ()
+    assert factorize_path(cfg, []) == ()
     e1 = (1, 0, 0, 0, 0)
     res = _find_path(cfg, e1, (0, 0, 1, 0, 0))
     assert res.path is not None
-    witness = factorize_path(cfg, res.path)
-    assert len(witness.pairs) == len(res.path) - 1
-    for a, b in witness.pairs:
+    pairs = factorize_path(cfg, res.path)
+    assert len(pairs) == len(res.path) - 1
+    for a, b in pairs:
         assert a.norm == 2 and b.norm == 2 and a.is_root and b.is_root
 
 

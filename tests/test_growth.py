@@ -81,7 +81,7 @@ def test_growth_run_deterministic():
 
 
 def test_saturated_word_limit_stabilizes_count():
-    wl = saturated_word_limit([GEN_A, GEN_B], 30, max_limit=40)
+    wl = saturated_word_limit([GEN_A, GEN_B], 30)
     a = enumerate_ball([GEN_A, GEN_B], 30, wl).count
     b = enumerate_ball([GEN_A, GEN_B], 30, wl + 2).count
     assert a == b

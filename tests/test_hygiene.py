@@ -15,6 +15,10 @@ No module imports a `_`-prefixed name from another hypermono module, at
 any depth: what one module shares with another is public. The scripts and
 the benchmark are outside the package and exempt.
 
+Every dataclass field, method and property of a top-level hypermono class
+is read as an attribute (`x.name`) somewhere in the package, the scripts,
+the tests or the benchmark; names are matched alone, whatever the class.
+
 It also checks that every function the benchmark tracer wraps by name
 (`SPANNED` in bench/tracing.py) still exists, since `--trace 1` looks each
 one up with getattr.
@@ -197,6 +201,74 @@ def test_detects_unused_public_name():
     users = ["import hypermono.b as b\nb.entry()\n"]
     assert unused_public_names(modules, users, {"a.traced"}) == [
         "a.ALIAS (line 2)", "a.dead (line 5)", "a.Gone (line 9)"]
+
+
+def class_members(tree) -> dict[str, int]:
+    """`Class.name` for each field (an annotated name) and method (property
+    or not) of each top-level class, dunders excepted, with its line."""
+    members = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                members[f"{cls.name}.{name}"] = node.lineno
+    return members
+
+
+def unread_members(modules: dict[str, str], users: list[str],
+                   exempt: set[str]) -> list[str]:
+    """`module.Class.name` for each class member of the modules (name ->
+    source) that neither they nor a user source read as an attribute,
+    outside exempt."""
+    trees = {m: ast.parse(source) for m, source in modules.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, users)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{m}.{member} (line {line})" for m, tree in trees.items()
+            for member, line in class_members(tree).items()
+            if member.rsplit(".", 1)[1] not in read
+            and f"{m}.{member}" not in exempt]
+
+
+def test_no_unread_class_members():
+    # basepoint records the nudged basepoint; the Dirichlet oracle test
+    # compares it only through the region's repr
+    exempt = {"spin.DirichletRegion.basepoint"}
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8")
+             for d in ("scripts", "tests", "bench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_members(modules, users, exempt) == []
+
+
+def test_detects_unread_member():
+    modules = {"a": ("from dataclasses import dataclass\n"
+                     "@dataclass\n"
+                     "class Report:\n"
+                     "    status: str\n"
+                     "    kind: int\n"
+                     "    note: str = ''\n"
+                     "    def __post_init__(self):\n"
+                     "        assert self.status\n"
+                     "    @property\n"
+                     "    def ok(self):\n"
+                     "        return self.status == 'ok'\n"
+                     "    def render(self):\n"
+                     "        return 'report'\n"
+                     "def kind():\n"
+                     "    return Report('ok', 1)\n")}
+    users = ["from a import kind\nprint(kind().ok)\n"]
+    assert unread_members(modules, users, {"a.Report.note"}) == [
+        "a.Report.kind (line 5)", "a.Report.render (line 12)"]
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES)

@@ -140,7 +140,7 @@ def test_rotation_order():
     for fid in SAMPLE_IDS:
         m = build(make_family(fid))
         assert m.rotation_generator is not None
-        g = m.rotation_matrix()
+        g = m.basis_generator()
         power = identity(m.n)
         for _ in range(m.rotation_order):
             power = mat_mul(power, g)
@@ -206,3 +206,12 @@ def test_hr_generators_periodic():
     m = build(make_family(FamilyId("M1", 1, None, 5)))
     gens = hr_generators(m, m.rotation_order + 1)
     assert gens[0] == gens[m.rotation_order]
+
+
+def test_hr_generators_need_a_finite_order_generator():
+    # (z + 1)^3 and (z - 1)^3: neither companion matrix has finite order
+    half, zero = Fraction(1, 2), Fraction(0)
+    m = build(ExponentPair.make([half] * 3, [zero] * 3))
+    assert m.rotation_generator is None
+    with pytest.raises(ValueError, match="no finite-order generator available"):
+        hr_generators(m, 1)

@@ -1,5 +1,8 @@
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -182,3 +185,14 @@ def test_dirichlet_stabilized_basepoint_raises():
     form = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     with pytest.raises(ValueError, match="stabilized even after perturbation"):
         dirichlet_region([minus_one], form=form, word_depth=2)
+
+
+@pytest.mark.parametrize("examples", ["7", "x", "5,0"])
+def test_dirichlet_script_rejects_unknown_examples(monkeypatch, capsys,
+                                                   examples):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_dirichlet.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--examples", examples])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "valid ids are 1-6" in capsys.readouterr().err

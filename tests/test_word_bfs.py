@@ -111,17 +111,16 @@ def oracle_growth_counts(generators, t_min, t_max, points, word_limit,
     return tuple(grid), tuple(sum(fs <= t * t for fs in norms) for t in grid)
 
 
-def oracle_saturated_word_limit(generators, t, start=4, margin=4,
-                                max_limit=64):
-    limit = start
+def oracle_saturated_word_limit(generators, t, margin=4):
+    limit = 4
     prev = oracle_ball(generators, t, limit, margin)[0]
-    while limit < max_limit:
+    while limit < 64:
         cur = oracle_ball(generators, t, limit + 2, margin)[0]
         if cur == prev:
             return limit
         limit += 2
         prev = cur
-    raise ValueError(f"no saturation below word limit {max_limit}")
+    raise ValueError("no saturation below word limit 64")
 
 
 def oracle_word_search(generators, target, max_len):
@@ -347,11 +346,8 @@ def test_growth_readers_match_oracles(gens):
     for t, limit in ((1, 3), (20, 0), (20, 1), (20, 6), (60, 7)):
         res = enumerate_ball(gens, t, limit)
         assert (res.count, res.truncated) == oracle_ball(gens, t, limit)
-    for start in (1, 4):
-        wl = saturated_word_limit(gens, 10, start=start, max_limit=30)
-        assert wl == oracle_saturated_word_limit(gens, 10, start=start,
-                                                 max_limit=30)
-    # wl is now the limit from the default start, 4
+    wl = saturated_word_limit(gens, 10)
+    assert wl == oracle_saturated_word_limit(gens, 10)
     grid, counts = oracle_growth_counts(gens, 2, 10, 5, wl)
     try:
         run = growth_run(gens, 2, 10, 5, wl)
@@ -543,7 +539,7 @@ def test_truncated_flag():
 
 def test_saturated_growth_run_enumerates_once(monkeypatch):
     gens = [GEN_A, GEN_B]
-    wl = saturated_word_limit(gens, 30, max_limit=40)
+    wl = saturated_word_limit(gens, 30)
     products = {}
     streams = []
     real_bfs = growth.word_bfs
